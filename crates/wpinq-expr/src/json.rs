@@ -192,6 +192,16 @@ fn newline(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
+/// Appends a float exactly as [`Json::f64`] prints it (`null` when non-finite), for
+/// writers that stream a document into a `String` without building the tree.
+pub fn write_f64(out: &mut String, value: f64) {
+    if value.is_finite() {
+        let _ = write!(out, "{value}");
+    } else {
+        out.push_str("null");
+    }
+}
+
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
@@ -327,25 +337,33 @@ fn parse_keyword(
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits_start = *pos;
     while *pos < bytes.len()
         && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
     {
         *pos += 1;
     }
-    if *pos == digits_start {
-        return Err(JsonError::at(start, "malformed number"));
+    // The token is ASCII by construction, and the raw text is what gets stored.
+    let token = std::str::from_utf8(&bytes[start..*pos]).expect("number tokens are ASCII");
+    if !is_number(token) {
+        return Err(JsonError::at(start, format!("malformed number '{token}'")));
     }
-    let token = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| JsonError::at(start, "malformed number"))?;
-    // Validate the token parses as *some* number; the raw text is what gets stored.
-    token
-        .parse::<f64>()
-        .map_err(|_| JsonError::at(start, format!("malformed number '{token}'")))?;
     Ok(Json::Num(token.to_string()))
+}
+
+/// The decimal grammar `f64::from_str` accepts over a number token's alphabet:
+/// `-? (digits [. digits?] | . digits) ([eE] [+-]? digits)?`.
+fn is_number(token: &str) -> bool {
+    let all_digits = |s: &str| s.bytes().all(|b| b.is_ascii_digit());
+    let (mantissa, exponent) = match token.split_once(['e', 'E']) {
+        Some((mantissa, e)) => (mantissa, Some(e.strip_prefix(['+', '-']).unwrap_or(e))),
+        None => (token, None),
+    };
+    let mantissa = mantissa.strip_prefix('-').unwrap_or(mantissa);
+    let (whole, fraction) = mantissa.split_once('.').unwrap_or((mantissa, ""));
+    all_digits(whole)
+        && all_digits(fraction)
+        && !(whole.is_empty() && fraction.is_empty())
+        && exponent.is_none_or(|e| !e.is_empty() && all_digits(e))
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
@@ -388,12 +406,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character (input is a &str, so boundaries are valid).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| JsonError::at(*pos, "invalid UTF-8"))?;
-                let c = rest.chars().next().expect("non-empty remainder");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or escape at once. Both
+                // delimiters are ASCII, so the run ends on a character boundary.
+                let start = *pos;
+                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|_| JsonError::at(start, "invalid UTF-8"))?;
+                out.push_str(run);
             }
         }
     }
@@ -447,6 +468,108 @@ mod tests {
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("nope").is_err());
+    }
+
+    /// Strings are copied run by run between quotes and escapes: every escape and
+    /// multi-byte characters must survive at the start, the end and both sides of a run.
+    #[test]
+    fn strings_decode_across_run_boundaries() {
+        let cases = [
+            (r#""""#, ""),
+            (r#""plain""#, "plain"),
+            (r#""\n""#, "\n"),
+            (
+                r#""a\"b\\c\/d\ne\rf\tg\bh\fi""#,
+                "a\"b\\c/d\ne\rf\tg\u{8}h\u{c}i",
+            ),
+            (r#""\"\\\/\n\r\t\b\f""#, "\"\\/\n\r\t\u{8}\u{c}"),
+            (r#""é\n→\t𝛆""#, "é\n→\t𝛆"),
+            (r#""\né""#, "\né"),
+            (r#""𝛆\\""#, "𝛆\\"),
+            (r#""\u00e9""#, "é"),
+            (r#""a\u00e9b""#, "aéb"),
+            (r#""é\u2192𝛆\u0041""#, "é→𝛆A"),
+            (r#""\u0041\u0042""#, "AB"),
+        ];
+        for (text, expected) in cases {
+            assert_eq!(
+                Json::parse(text),
+                Ok(Json::str(expected)),
+                "decoding {text}"
+            );
+            // And the writer's escapes read back, in an object key as well.
+            let doc = Json::Obj(vec![(expected.to_string(), Json::str(expected))]);
+            assert_eq!(Json::parse(&doc.to_compact()), Ok(doc));
+        }
+        for (text, offset) in [
+            (r#""abc"#, 4),
+            (r#""é\"#, 4),
+            (r#""ab\x""#, 4),
+            (r#""ab\u12""#, 4),
+            (r#""ab\ud800""#, 4),
+        ] {
+            assert_eq!(Json::parse(text).unwrap_err().offset, offset, "{text}");
+        }
+    }
+
+    /// Reading a string is linear in its length: a `release_columnar` payload of a few
+    /// megabytes must parse at once (per-character revalidation of the remaining input
+    /// took minutes on this).
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let body = "QUJD+/é".repeat(400_000);
+        let parsed = Json::parse(&format!("[\"{body}\\n\"]")).unwrap();
+        assert_eq!(parsed, Json::Arr(vec![Json::Str(format!("{body}\n"))]));
+    }
+
+    /// The number grammar accepts exactly what `f64::from_str` accepts over the token
+    /// alphabet (checked on every token of up to six characters), and stores the token.
+    #[test]
+    fn number_grammar_matches_float_parsing() {
+        let alphabet = b"07.eE+-";
+        let mut tokens: Vec<Vec<u8>> = vec![Vec::new()];
+        for _ in 0..6 {
+            for i in 0..tokens.len() {
+                for &c in alphabet {
+                    let mut next = tokens[i].clone();
+                    next.push(c);
+                    tokens.push(next);
+                }
+            }
+            tokens.sort();
+            tokens.dedup();
+        }
+        for token in tokens {
+            let text = std::str::from_utf8(&token).unwrap();
+            assert_eq!(
+                is_number(text),
+                !text.starts_with('+') && text.parse::<f64>().is_ok(),
+                "token '{text}'"
+            );
+        }
+        assert_eq!(Json::parse("-0.50e+07"), Ok(Json::Num("-0.50e+07".into())));
+    }
+
+    #[test]
+    fn malformed_numbers_are_rejected_at_their_first_byte() {
+        for (text, offset) in [
+            ("1e", 0),
+            ("--1", 0),
+            ("1.2.3", 0),
+            ("[1,1e+]", 3),
+            ("{\"a\":-}", 5),
+            ("[-.e1]", 1),
+        ] {
+            let error = Json::parse(text).unwrap_err();
+            assert_eq!(error.offset, offset, "{text}");
+            assert!(error.message.starts_with("malformed number"), "{error}");
+        }
+        // A leading plus never starts a value.
+        let error = Json::parse("+1").unwrap_err();
+        assert_eq!(
+            (error.offset, error.message.as_str()),
+            (0, "unexpected byte 0x2b")
+        );
     }
 
     #[test]

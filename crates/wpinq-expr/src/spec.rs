@@ -371,12 +371,7 @@ impl PlanSpec {
     /// substitute for the bytes where collisions would matter (cache keys compare full
     /// encodings).
     pub fn canonical_hash(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in self.to_json_string().bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
+        fnv1a64(self.to_json_string().as_bytes())
     }
 
     /// Parses (and version-checks) a plan document. The plan is **not** type-checked
@@ -406,6 +401,14 @@ impl PlanSpec {
             .ok_or_else(|| WireError::new("missing or out-of-range 'root' index"))?;
         Ok(PlanSpec { nodes, root })
     }
+}
+
+/// The process-stable 64-bit FNV-1a hash behind [`PlanSpec::canonical_hash`], for
+/// callers that already hold a plan's canonical bytes. A label, never a key.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Encodes a [`ValueType`].

@@ -49,11 +49,15 @@ pub use cache::{
 };
 pub use client::{Client, ClientError, ServiceClient, TypedRelease};
 pub use release::{
-    release_records_from_response, release_records_json, release_to_json, release_values_to_json,
+    release_records_from_response, release_records_json, release_records_text, release_to_json,
+    release_values_to_json,
 };
 pub use service::{
     MeasureRequest, MeasureResponse, MeasurementService, ResponseEncoding, ServiceError,
     AUDIT_DROPPED_METRIC, DEFAULT_AUDIT_CAPACITY, DEFAULT_CACHE_CAPACITY, REQUESTS_METRIC,
-    REQUEST_HEADER, REQUEST_LATENCY_METRIC, REQUEST_VERSION,
+    REQUEST_HEADER, REQUEST_LATENCY_METRIC, REQUEST_VERSION, RESPONSE_BYTES_METRIC,
+    RESPONSE_ENCODE_METRIC,
 };
-pub use transport::{serve_metrics, serve_tcp, InProcess, ServerHandle, Tcp, Transport};
+pub use transport::{
+    serve_metrics, serve_tcp, InProcess, ServerHandle, Tcp, Transport, MAX_REQUEST_LINE,
+};

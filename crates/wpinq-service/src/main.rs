@@ -273,6 +273,8 @@ fn run_metrics_demo() {
         "# TYPE wpinq_requests_total counter",
         "# TYPE wpinq_request_latency_ms histogram",
         "wpinq_request_latency_ms_bucket{le=\"+Inf\"}",
+        "# TYPE wpinq_response_encode_ms histogram",
+        "wpinq_response_bytes_bucket{encoding=\"json\",le=\"+Inf\"}",
         "wpinq_cache_hits_total",
         "wpinq_cache_misses_total",
         "wpinq_budget_epsilon_spent",

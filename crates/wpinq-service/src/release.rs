@@ -7,8 +7,11 @@
 //! byte-identical-release property tests (typed plan vs. wire-shipped plan, sequential
 //! vs. sharded executors) compare exactly these strings.
 
+use std::fmt::Write as _;
+
 use wpinq::value::{ExprRecord, Value, ValueType};
 use wpinq::NoisyCounts;
+use wpinq_expr::json::write_f64;
 use wpinq_expr::{value_from_json, value_to_json, Json, WireError};
 
 /// Encodes the observed part of a typed release (sorted record order).
@@ -18,12 +21,12 @@ pub fn release_to_json<T: ExprRecord>(counts: &NoisyCounts<T>) -> String {
         .into_iter()
         .map(|(record, value)| (record.to_value(), value))
         .collect();
-    release_records_json(&records).to_compact()
+    release_records_text(&records)
 }
 
 /// Encodes the observed part of a dynamic release (sorted record order).
 pub fn release_values_to_json(counts: &NoisyCounts<Value>) -> String {
-    release_records_json(&counts.sorted_observed()).to_compact()
+    release_records_text(&counts.sorted_observed())
 }
 
 /// The release array document for already-sorted `(record, noisy value)` pairs.
@@ -34,6 +37,42 @@ pub fn release_records_json(records: &[(Value, f64)]) -> Json {
             .map(|(record, value)| Json::Arr(vec![value_to_json(record), Json::f64(*value)]))
             .collect(),
     )
+}
+
+/// The compact text of [`release_records_json`], byte for byte, streamed into one
+/// `String` without building the document: no allocation per record or per number.
+pub fn release_records_text(records: &[(Value, f64)]) -> String {
+    let mut out = String::from("[");
+    for (i, (record, value)) in records.iter().enumerate() {
+        out.push_str(if i > 0 { ",[" } else { "[" });
+        write_value(&mut out, record);
+        out.push(',');
+        write_f64(&mut out, *value);
+        out.push(']');
+    }
+    out.push(']');
+    out
+}
+
+/// The streaming twin of [`value_to_json`].
+fn write_value(out: &mut String, value: &Value) {
+    let _ = match value {
+        Value::Unit => out.write_str("null"),
+        Value::Bool(b) => write!(out, "{b}"),
+        Value::U64(n) => write!(out, "{n}"),
+        Value::I64(n) => write!(out, "{n}"),
+        Value::Tuple(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_value(out, item);
+            }
+            out.push(']');
+            Ok(())
+        }
+    };
 }
 
 /// Extracts a successful envelope's release records under either negotiated encoding:

@@ -78,7 +78,7 @@ use wpinq_telemetry::{
 };
 
 use crate::cache::{CacheStats, MeasurementCache};
-use crate::release::release_records_json;
+use crate::release::{release_records_json, release_records_text};
 
 /// Registry name of the per-outcome request counter (label `outcome` ∈ `ok`/`error`).
 pub const REQUESTS_METRIC: &str = "wpinq_requests_total";
@@ -86,6 +86,11 @@ pub const REQUESTS_METRIC: &str = "wpinq_requests_total";
 pub const REQUEST_LATENCY_METRIC: &str = "wpinq_request_latency_ms";
 /// Registry name of the counter of audit entries dropped by the bounded audit ring.
 pub const AUDIT_DROPPED_METRIC: &str = "wpinq_audit_dropped_total";
+/// Registry name of the envelope-assembly histogram (milliseconds; a trace cannot
+/// contain its own serialization).
+pub const RESPONSE_ENCODE_METRIC: &str = "wpinq_response_encode_ms";
+/// Registry name of the response-line size histogram (bytes, label `encoding`).
+pub const RESPONSE_BYTES_METRIC: &str = "wpinq_response_bytes";
 
 fn requests_ok_counter() -> &'static Arc<Counter> {
     static C: OnceLock<Arc<Counter>> = OnceLock::new();
@@ -118,6 +123,29 @@ fn request_latency_histogram() -> &'static Arc<Histogram> {
             "Wall time of one front-door request (parse through response encoding).",
             &LATENCY_BUCKETS_MS,
         )
+    })
+}
+
+/// The envelope-assembly time histogram and the response-size histograms by encoding.
+fn response_histograms() -> &'static (Arc<Histogram>, [Arc<Histogram>; 2]) {
+    static H: OnceLock<(Arc<Histogram>, [Arc<Histogram>; 2])> = OnceLock::new();
+    H.get_or_init(|| {
+        let bytes = |encoding| {
+            registry().histogram(
+                RESPONSE_BYTES_METRIC,
+                &[("encoding", encoding)],
+                "Size of one successful response line, by release encoding.",
+                &[256.0, 1024.0, 4096.0, 16384.0, 65536.0, 262144.0, 1048576.0],
+            )
+        };
+        let encode = registry().histogram(
+            RESPONSE_ENCODE_METRIC,
+            &[],
+            "Wall time of assembling one successful response envelope.",
+            &LATENCY_BUCKETS_MS,
+        );
+        // Indexed by `ResponseEncoding as usize`, like `Sealed::release_fields`.
+        (encode, [bytes("json"), bytes("columnar")])
     })
 }
 
@@ -276,26 +304,13 @@ pub struct MeasureResponse {
 }
 
 impl MeasureResponse {
-    /// The JSON envelope (`{"ok":true, …}`), deterministic byte-for-byte. The response
-    /// itself carries no id — the envelope layer echoes the request's id via
-    /// [`to_json_with_id`](Self::to_json_with_id), which keeps cached responses
-    /// id-agnostic.
-    pub fn to_json(&self) -> Json {
-        self.to_json_with_id(None)
-    }
-
-    /// [`to_json`](Self::to_json) with the request's correlation id spliced in right
-    /// after `"ok"` (omitted when the request carried none, preserving the v1 shape).
-    pub fn to_json_with_id(&self, id: Option<&str>) -> Json {
-        self.to_json_envelope(id, None, None, ResponseEncoding::Json)
-    }
-
-    /// The full envelope assembly: [`to_json_with_id`](Self::to_json_with_id) plus the
-    /// per-request pieces a cached response must stay agnostic of — a live `remaining`
-    /// override (read from the grants at assembly time, see
-    /// [`MeasurementService::live_remaining`]), the request's trace (spliced in as a
-    /// trailing `"trace"` field when the request asked for one), and the release
-    /// encoding the request negotiated. Under [`ResponseEncoding::Columnar`] the
+    /// The JSON envelope (`{"ok":true, …}`) as a document, deterministic byte-for-byte:
+    /// the response plus the per-request pieces a cached response must stay agnostic of
+    /// — the request's id (right after `"ok"`; omitted when the request carried none), a
+    /// live `remaining` override (read from the grants at assembly time, see
+    /// [`MeasurementService::live_remaining`]), the request's trace (a trailing
+    /// `"trace"` field when the request asked for one), and the release encoding the
+    /// request negotiated. Under [`ResponseEncoding::Columnar`] the
     /// `"release"` array is replaced by `"release_columnar"`, a base64 colwire frame of
     /// the same records; everything else in the envelope is unchanged, and a cached
     /// response replays byte-identically under whichever encoding each request asks
@@ -307,6 +322,26 @@ impl MeasureResponse {
         trace: Option<&Trace>,
         encoding: ResponseEncoding,
     ) -> Json {
+        let [mut fields, tail] =
+            self.envelope_parts(id, remaining.unwrap_or(&self.remaining), trace);
+        fields.push(match encoding {
+            ResponseEncoding::Json => ("release".to_string(), release_records_json(&self.release)),
+            ResponseEncoding::Columnar => (
+                "release_columnar".to_string(),
+                Json::str(self.release_columnar()),
+            ),
+        });
+        fields.extend(tail);
+        Json::Obj(fields)
+    }
+
+    /// The envelope's members before and after the release member.
+    fn envelope_parts(
+        &self,
+        id: Option<&str>,
+        remaining: &[(String, f64)],
+        trace: Option<&Trace>,
+    ) -> [Vec<(String, Json)>; 2] {
         let pairs = |items: &[(String, f64)]| {
             Json::Arr(
                 items
@@ -315,46 +350,84 @@ impl MeasureResponse {
                     .collect(),
             )
         };
-        let mut fields = vec![("ok".to_string(), Json::Bool(true))];
+        let mut head = vec![("ok".to_string(), Json::Bool(true))];
         if let Some(id) = id {
-            fields.push(("id".into(), Json::str(id.to_string())));
+            head.push(("id".into(), Json::str(id.to_string())));
         }
-        let release_field = match encoding {
-            ResponseEncoding::Json => ("release".to_string(), release_records_json(&self.release)),
-            ResponseEncoding::Columnar => {
-                let batch = ColumnBatch::from_pairs(
-                    self.output_type.clone(),
-                    self.release.iter().map(|(record, count)| (record, *count)),
-                )
-                .expect("release records all have the response's output type");
-                (
-                    "release_columnar".to_string(),
-                    Json::str(colwire::to_base64(&colwire::encode_batch(&batch))),
-                )
-            }
-        };
-        fields.extend([
+        head.extend([
             ("epsilon".to_string(), Json::f64(self.epsilon)),
             ("output_type".into(), value_type_to_json(&self.output_type)),
-            release_field,
-            ("charged".into(), pairs(&self.charged)),
-            (
-                "remaining".into(),
-                pairs(remaining.unwrap_or(&self.remaining)),
-            ),
-            ("explain".into(), Json::str(self.explain.clone())),
         ]);
-        if let Some(trace) = trace {
-            if let Ok(json) = Json::parse(&trace.to_json()) {
-                fields.push(("trace".into(), json));
-            }
+        let mut tail = vec![
+            ("charged".to_string(), pairs(&self.charged)),
+            ("remaining".into(), pairs(remaining)),
+            ("explain".into(), Json::str(self.explain.clone())),
+        ];
+        if let Some(Ok(trace)) = trace.map(|trace| Json::parse(&trace.to_json())) {
+            tail.push(("trace".into(), trace));
         }
-        Json::Obj(fields)
+        [head, tail]
     }
 
-    /// Serializes the response to compact JSON.
-    pub fn to_json_string(&self) -> String {
-        self.to_json().to_compact()
+    /// The release as a base64 colwire frame (the `"release_columnar"` payload).
+    fn release_columnar(&self) -> String {
+        let batch = ColumnBatch::from_pairs(
+            self.output_type.clone(),
+            self.release.iter().map(|(record, count)| (record, *count)),
+        )
+        .expect("release records all have the response's output type");
+        colwire::to_base64(&colwire::encode_batch(&batch))
+    }
+}
+
+/// A served measurement as the cache holds it: the response, sealed with its release
+/// member as compact text (`"release":[…]` / `"release_columnar":"…"`), rendered at most
+/// once per encoding — by the first reply that asks for that encoding. A replay splices
+/// the stored text instead of re-printing an unchanged release; the text is dropped with
+/// the entry on eviction or invalidation.
+struct Sealed {
+    response: Arc<MeasureResponse>,
+    release_fields: [OnceLock<String>; 2],
+}
+
+impl Sealed {
+    fn new(response: MeasureResponse) -> Arc<Sealed> {
+        Arc::new(Sealed {
+            response: Arc::new(response),
+            release_fields: Default::default(),
+        })
+    }
+
+    /// The compact text of [`MeasureResponse::to_json_envelope`], byte for byte: what the
+    /// front doors send. Only the small members either side of the release are printed
+    /// per reply.
+    fn envelope_text(
+        &self,
+        id: Option<&str>,
+        remaining: &[(String, f64)],
+        trace: Option<&Trace>,
+        encoding: ResponseEncoding,
+    ) -> String {
+        let response = &self.response;
+        let release = self.release_fields[encoding as usize].get_or_init(|| match encoding {
+            ResponseEncoding::Json => {
+                format!("\"release\":{}", release_records_text(&response.release))
+            }
+            ResponseEncoding::Columnar => format!(
+                "\"release_columnar\":{}",
+                Json::str(response.release_columnar()).to_compact()
+            ),
+        });
+        let [head, tail] = response.envelope_parts(id, remaining, trace);
+        let (head, tail) = (Json::Obj(head).to_compact(), Json::Obj(tail).to_compact());
+        // `{head}` and `{tail}` open up into `{head,release,tail}`.
+        let mut out = String::with_capacity(head.len() + release.len() + tail.len() + 1);
+        out.push_str(&head[..head.len() - 1]);
+        out.push(',');
+        out.push_str(release);
+        out.push(',');
+        out.push_str(&tail[1..]);
+        out
     }
 }
 
@@ -391,6 +464,11 @@ pub enum ServiceError {
     },
     /// A request parameter was invalid (e.g. non-positive ε).
     InvalidParameter(String),
+    /// A request line exceeded the transport's length limit (the connection is closed).
+    RequestTooLarge {
+        /// The limit, in bytes.
+        limit: usize,
+    },
 }
 
 impl ServiceError {
@@ -405,6 +483,7 @@ impl ServiceError {
             ServiceError::NoGrant { .. } => "no_grant",
             ServiceError::BudgetExceeded { .. } => "budget_exceeded",
             ServiceError::InvalidParameter(_) => "invalid_parameter",
+            ServiceError::RequestTooLarge { .. } => "request_too_large",
         }
     }
 
@@ -446,6 +525,9 @@ impl std::fmt::Display for ServiceError {
                 write!(f, "budget for '{dataset}' exceeded: {error}")
             }
             ServiceError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
+            ServiceError::RequestTooLarge { limit } => {
+                write!(f, "request line exceeds {limit} bytes")
+            }
         }
     }
 }
@@ -528,7 +610,7 @@ pub struct MeasurementService {
     /// The curator's noise source for [`serve`](Self::serve): each request draws a child
     /// generator under a brief lock, so evaluation itself is never serialized on it.
     noise: Mutex<StdRng>,
-    cache: MeasurementCache<CacheKey, Arc<MeasureResponse>>,
+    cache: MeasurementCache<CacheKey, Arc<Sealed>>,
     cache_enabled: bool,
 }
 
@@ -968,10 +1050,12 @@ impl MeasurementService {
     /// zero additional ε. Identical requests racing on a cold key single-flight behind
     /// one evaluation and one debit.
     pub fn serve(&self, request: &MeasureRequest) -> Result<Arc<MeasureResponse>, ServiceError> {
-        self.serve_traced(request).map(|(response, _)| response)
+        self.serve_sealed(request, None)
+            .map(|(sealed, _)| sealed.response.clone())
     }
 
-    /// [`serve`](Self::serve) plus the request's trace, when one was recorded.
+    /// [`serve`](Self::serve) in the sealed form the front door assembles its reply
+    /// from, plus the request's trace, when one was recorded.
     ///
     /// The tracer is live when the request set `"trace":true` (the trace comes back as
     /// the second tuple element, for the envelope layer to attach) or when the
@@ -979,12 +1063,19 @@ impl MeasurementService {
     /// clean unless the request also asked). With neither, the tracer is the inert
     /// [`Tracer::disabled`] — no clock reads, no allocation — and `None` comes back.
     /// Either way the release bytes are identical; only observation differs.
-    pub fn serve_traced(
+    /// `decode_started` is when the front door began parsing this request's line: the
+    /// trace's clock starts there, with a `decode` span up to now.
+    fn serve_sealed(
         &self,
         request: &MeasureRequest,
-    ) -> Result<(Arc<MeasureResponse>, Option<Trace>), ServiceError> {
+        decode_started: Option<Instant>,
+    ) -> Result<(Arc<Sealed>, Option<Trace>), ServiceError> {
         let tracer = if request.trace || trace_sink_enabled() {
-            Tracer::enabled()
+            let tracer = Tracer::enabled_since(decode_started.unwrap_or_else(Instant::now));
+            if let Some(started) = decode_started {
+                tracer.record_span_us("decode", started.elapsed().as_micros() as u64);
+            }
+            tracer
         } else {
             Tracer::disabled()
         };
@@ -998,24 +1089,26 @@ impl MeasurementService {
                 emit_to_sink(trace);
             }
         }
-        result.map(|response| (response, if request.trace { trace } else { None }))
+        result.map(|sealed| (sealed, if request.trace { trace } else { None }))
     }
 
     fn serve_with_tracer(
         &self,
         request: &MeasureRequest,
         tracer: &Tracer,
-    ) -> Result<Arc<MeasureResponse>, ServiceError> {
+    ) -> Result<Arc<Sealed>, ServiceError> {
         let prepared = self.prepare(request, tracer)?;
         for (dataset, _) in &prepared.generations {
             tracer.field("dataset", dataset.as_str());
         }
+        let evaluate = || {
+            let mut rng = self.child_rng();
+            self.charge_and_evaluate(request, &prepared, &mut rng, tracer)
+                .map(Sealed::new)
+        };
         if !self.cache_enabled {
             tracer.field("cache", "bypass");
-            let mut rng = self.child_rng();
-            return self
-                .charge_and_evaluate(request, &prepared, &mut rng, tracer)
-                .map(Arc::new);
+            return evaluate();
         }
         let key = (
             request.analyst.clone(),
@@ -1023,11 +1116,14 @@ impl MeasurementService {
             prepared.canonical.clone(),
             prepared.generations.clone(),
         );
-        let (response, hit) = self.cache.get_or_compute(key, || {
-            let mut rng = self.child_rng();
-            self.charge_and_evaluate(request, &prepared, &mut rng, tracer)
-                .map(Arc::new)
+        // The `cache` span covers the lookup and any wait behind a racing identical
+        // request; it ends where this request's own evaluation (and its spans) begins.
+        let mut lookup = Some(tracer.span("cache"));
+        let (sealed, hit) = self.cache.get_or_compute(key, || {
+            lookup = None;
+            evaluate()
         })?;
+        drop(lookup);
         tracer.field("cache", if hit { "hit" } else { "miss" });
         if hit {
             self.audit
@@ -1036,11 +1132,11 @@ impl MeasurementService {
                 .push(format!(
                 "analyst {} replayed cached measurement {:016x} at epsilon {} (0 epsilon charged)",
                 request.analyst,
-                request.spec.canonical_hash(),
+                wpinq_expr::spec::fnv1a64(prepared.canonical.as_bytes()),
                 request.epsilon
             ));
         }
-        Ok(response)
+        Ok(sealed)
     }
 
     /// The `remaining` quote for a response envelope, re-read from the live grants at
@@ -1103,8 +1199,7 @@ impl MeasurementService {
     }
 
     /// The concurrent JSON front door: parses a request envelope, serves it through
-    /// [`serve_traced`](Self::serve_traced) (service noise, measurement cache,
-    /// per-request tracing), and encodes the outcome with the request's `id` echoed.
+    /// [`serve`](Self::serve) (service noise, measurement cache, per-request tracing), and encodes the outcome with the request's `id` echoed.
     /// Errors come back as `{"ok":false,"id":…,"error":{"code":…,"message":…}}` instead
     /// of panicking. Also answers the sideband `{"op":"stats"}` request with the
     /// telemetry registry as JSON. This is the line handler every transport (stdin,
@@ -1112,12 +1207,12 @@ impl MeasurementService {
     /// on [`REQUEST_LATENCY_METRIC`].
     pub fn handle_line(&self, request_json: &str) -> String {
         let started = Instant::now();
-        let response = self.handle_line_inner(request_json);
+        let response = self.handle_line_inner(request_json, started);
         request_latency_histogram().observe(started.elapsed().as_secs_f64() * 1e3);
         response
     }
 
-    fn handle_line_inner(&self, request_json: &str) -> String {
+    fn handle_line_inner(&self, request_json: &str, started: Instant) -> String {
         // The `stats` sideband op carries no measure-request header; only lines that
         // cannot be measure requests pay the extra parse.
         if !request_json.contains(REQUEST_HEADER) {
@@ -1137,13 +1232,16 @@ impl MeasurementService {
             }
         };
         let id = request.id.as_deref();
-        match self.serve_traced(&request) {
-            Ok((response, trace)) => {
+        match self.serve_sealed(&request, Some(started)) {
+            Ok((sealed, trace)) => {
                 requests_ok_counter().inc();
-                let live = self.live_remaining(&request.analyst, &response);
-                response
-                    .to_json_envelope(id, Some(&live), trace.as_ref(), request.encoding)
-                    .to_compact()
+                let encode_started = Instant::now();
+                let live = self.live_remaining(&request.analyst, &sealed.response);
+                let out = sealed.envelope_text(id, &live, trace.as_ref(), request.encoding);
+                let (encode_ms, bytes) = response_histograms();
+                encode_ms.observe(encode_started.elapsed().as_secs_f64() * 1e3);
+                bytes[request.encoding as usize].observe(out.len() as f64);
+                out
             }
             Err(error) => {
                 requests_error_counter().inc();
@@ -1163,9 +1261,10 @@ impl MeasurementService {
         };
         let id = request.id.as_deref();
         match self.measure(&request, rng) {
-            Ok(response) => response
-                .to_json_envelope(id, None, None, request.encoding)
-                .to_compact(),
+            Ok(response) => {
+                let sealed = Sealed::new(response);
+                sealed.envelope_text(id, &sealed.response.remaining, None, request.encoding)
+            }
             Err(error) => error.to_json_with_id(id).to_compact(),
         }
     }
@@ -1178,4 +1277,71 @@ pub fn response_output_type(response: &Json) -> Result<ValueType, WireError> {
             .get("output_type")
             .ok_or_else(|| WireError::new("response missing 'output_type'"))?,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The streamed envelope against the tree envelope on a response no service run
+    /// produces: nested tuple records, signed-zero / subnormal / non-finite counts, and
+    /// names and text that need every kind of escape.
+    #[test]
+    fn streamed_envelope_equals_the_tree_envelope_on_crafted_responses() {
+        let record = |n: u64, i: i64| {
+            Value::Tuple(vec![
+                Value::U64(n),
+                Value::Tuple(vec![
+                    Value::I64(i),
+                    Value::Bool(n.is_multiple_of(2)),
+                    Value::Unit,
+                ]),
+            ])
+        };
+        let full = MeasureResponse {
+            epsilon: 1e-7,
+            output_type: ValueType::Tuple(vec![
+                ValueType::U64,
+                ValueType::Tuple(vec![ValueType::I64, ValueType::Bool, ValueType::Unit]),
+            ]),
+            release: vec![
+                (record(0, i64::MIN), -0.0),
+                (record(1, -1), 5e-324),
+                (record(2, 0), -2.5e-310),
+                (record(u64::MAX, i64::MAX), f64::NAN),
+            ],
+            charged: vec![("a\"b".into(), 4e-7), ("é\n".into(), -0.0)],
+            remaining: vec![("a\"b".into(), 1e300), ("é\n".into(), f64::INFINITY)],
+            explain: "line\n\t\"quoted\" \\ \u{1} é→𝛆".into(),
+        };
+        let empty = MeasureResponse {
+            epsilon: 2.0,
+            output_type: ValueType::Unit,
+            release: Vec::new(),
+            charged: Vec::new(),
+            remaining: Vec::new(),
+            explain: String::new(),
+        };
+        let live = [("a\"b".to_string(), 0.1 + 0.2)];
+        for response in [full, empty] {
+            let sealed = Sealed::new(response);
+            for encoding in [ResponseEncoding::Json, ResponseEncoding::Columnar] {
+                for id in [None, Some("\u{7f}\"id\"\r")] {
+                    for remaining in [None, Some(&live[..])] {
+                        let streamed = sealed.envelope_text(
+                            id,
+                            remaining.unwrap_or(&sealed.response.remaining),
+                            None,
+                            encoding,
+                        );
+                        let tree = sealed
+                            .response
+                            .to_json_envelope(id, remaining, None, encoding);
+                        assert_eq!(streamed, tree.to_compact());
+                        assert_eq!(Json::parse(&streamed), Ok(tree));
+                    }
+                }
+            }
+        }
+    }
 }

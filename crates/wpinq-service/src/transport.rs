@@ -21,7 +21,7 @@
 //! `Arc<MeasurementService>` and call [`handle_line`](MeasurementService::handle_line)
 //! with no transport-level locking.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -30,11 +30,15 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::client::ClientError;
-use crate::service::MeasurementService;
+use crate::service::{MeasurementService, ServiceError};
 
 /// How long a server worker waits on an idle socket before re-checking the shutdown
 /// flag. Bounds shutdown latency; invisible to clients otherwise.
 const IDLE_POLL: Duration = Duration::from_millis(50);
+
+/// The longest request line a server accepts, newline excluded (PROTOCOL.md): a peer
+/// that sends more is refused with `request_too_large` and disconnected, not buffered.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// A bidirectional line transport: one request envelope in, one response envelope out.
 ///
@@ -75,7 +79,15 @@ impl Transport for InProcess {
 /// connection, lazily opened on first use and re-opened after any I/O error.
 pub struct Tcp {
     addr: String,
-    conn: Mutex<Option<TcpStream>>,
+    conn: Mutex<Option<Connection>>,
+}
+
+/// One open connection: the reader owns the stream (requests are written through
+/// `get_mut`) and keeps what the server sent past a reply's newline for the next round
+/// trip; `line` is reused for the framed request, then the reply.
+struct Connection {
+    reader: BufReader<TcpStream>,
+    line: Vec<u8>,
 }
 
 impl Tcp {
@@ -101,39 +113,39 @@ impl Transport for Tcp {
             // One request per round trip: Nagle coalescing only adds delayed-ACK
             // stalls (~40 ms per exchange) to this protocol, never useful batching.
             let _ = stream.set_nodelay(true);
-            *conn = Some(stream);
+            *conn = Some(Connection {
+                reader: BufReader::with_capacity(64 * 1024, stream),
+                line: Vec::new(),
+            });
         }
-        let stream = conn.as_mut().expect("just connected");
+        let Connection { reader, line } = conn.as_mut().expect("just connected");
         let result = (|| {
             // Request and newline in a single write: two small segments would
             // otherwise invite a delayed-ACK stall between them.
-            let mut framed = Vec::with_capacity(request_line.len() + 1);
-            framed.extend_from_slice(request_line.as_bytes());
-            framed.push(b'\n');
-            stream
-                .write_all(&framed)
-                .and_then(|()| stream.flush())
+            line.clear();
+            line.extend_from_slice(request_line.as_bytes());
+            line.push(b'\n');
+            reader
+                .get_mut()
+                .write_all(line)
                 .map_err(|e| Self::io_err("send request", e))?;
-            // Read up to the response's newline, byte-exactly.
-            let mut line = Vec::new();
-            let mut byte = [0u8; 1];
-            loop {
-                match stream.read(&mut byte) {
-                    Ok(0) => {
-                        return Err(ClientError::Transport(
-                            "connection closed before a response line".into(),
-                        ))
-                    }
-                    Ok(_) if byte[0] == b'\n' => break,
-                    Ok(_) => line.push(byte[0]),
-                    Err(e) => return Err(Self::io_err("read response", e)),
-                }
+            // Block reads up to the response's newline, byte-exactly.
+            line.clear();
+            reader
+                .read_until(b'\n', line)
+                .map_err(|e| Self::io_err("read response", e))?;
+            if line.pop() != Some(b'\n') {
+                return Err(ClientError::Transport(
+                    "connection closed before a response line".into(),
+                ));
             }
-            String::from_utf8(line)
+            std::str::from_utf8(line)
+                .map(str::to_owned)
                 .map_err(|_| ClientError::Transport("response is not UTF-8".into()))
         })();
         if result.is_err() {
-            // Drop the broken connection; the next round trip reconnects.
+            // Drop the broken connection with whatever it had buffered; the next round
+            // trip reconnects.
             *conn = None;
         }
         result
@@ -348,28 +360,40 @@ fn handle_connection(service: &MeasurementService, stream: TcpStream, shutdown: 
     let _ = stream.set_nodelay(true);
     let mut stream = stream;
     let mut pending: Vec<u8> = Vec::new();
+    // `pending[..scanned]` is known to hold no newline: each byte is searched once.
+    let mut scanned = 0;
+    let mut reply: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
     loop {
-        // Serve every complete line buffered so far. Partial lines stay in `pending`
+        // Serve every complete line buffered so far. A partial line stays in `pending`
         // across reads — a request split over TCP segments is reassembled, never lost.
-        while let Some(end) = pending.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = pending.drain(..=end).collect();
-            let Ok(text) = std::str::from_utf8(&line[..end]) else {
+        let mut start = 0;
+        loop {
+            let newline = pending[scanned..].iter().position(|&b| b == b'\n');
+            let end = newline.map_or(pending.len(), |offset| scanned + offset);
+            if end - start > MAX_REQUEST_LINE {
+                return refuse_and_close(stream, shutdown);
+            }
+            if newline.is_none() {
+                break;
+            }
+            let Ok(text) = std::str::from_utf8(&pending[start..end]) else {
                 return; // Non-UTF-8 request: drop the connection.
             };
-            if text.trim().is_empty() {
-                continue;
+            if !text.trim().is_empty() {
+                // Reply and newline leave in one write from one reused buffer.
+                reply.clear();
+                reply.extend_from_slice(service.handle_line(text.trim()).as_bytes());
+                reply.push(b'\n');
+                if stream.write_all(&reply).is_err() {
+                    return;
+                }
             }
-            let mut response = service.handle_line(text.trim()).into_bytes();
-            response.push(b'\n');
-            if stream
-                .write_all(&response)
-                .and_then(|()| stream.flush())
-                .is_err()
-            {
-                return;
-            }
+            start = end + 1;
+            scanned = start;
         }
+        pending.drain(..start);
+        scanned = pending.len();
         if shutdown.load(Ordering::SeqCst) {
             return;
         }
@@ -386,4 +410,20 @@ fn handle_connection(service: &MeasurementService, stream: TcpStream, shutdown: 
             Err(_) => return,
         }
     }
+}
+
+/// Answers an over-long request line with one `request_too_large` error line and
+/// closes. What the peer is still sending is discarded until it stops: closing on
+/// unread input would reset the connection, and the reset can overtake the error line.
+fn refuse_and_close(mut stream: TcpStream, shutdown: &AtomicBool) {
+    let mut refusal = ServiceError::RequestTooLarge {
+        limit: MAX_REQUEST_LINE,
+    }
+    .to_json_with_id(None)
+    .to_compact();
+    refusal.push('\n');
+    let _ = stream.write_all(refusal.as_bytes());
+    let mut discard = [0u8; 4096];
+    // Ends at end of stream, on an error, or after one quiet `IDLE_POLL`.
+    while !shutdown.load(Ordering::SeqCst) && matches!(stream.read(&mut discard), Ok(n) if n > 0) {}
 }

@@ -170,6 +170,93 @@ fn cache_replay_quotes_live_remaining() {
     );
 }
 
+/// The span names of a traced reply, with each span's parent index and duration.
+fn spans(response: &str) -> Vec<(String, Option<u64>, u64)> {
+    let json = Json::parse(response).expect("response is JSON");
+    let spans = json
+        .get("trace")
+        .and_then(|t| t.get("spans"))
+        .expect("spans");
+    spans
+        .as_arr()
+        .expect("spans is an array")
+        .iter()
+        .map(|span| {
+            (
+                span.get("name").and_then(Json::as_str).unwrap().to_string(),
+                span.get("parent").and_then(Json::as_u64),
+                span.get("dur_us").and_then(Json::as_u64).unwrap(),
+            )
+        })
+        .collect()
+}
+
+/// A trace covers the front door from the first byte of the line: `decode` (the
+/// envelope parse, at the trace's origin) and `cache` (lookup plus any single-flight
+/// wait) sit beside the pipeline spans. On a miss the `cache` span ends where
+/// evaluation starts — `reserve`/`execute`/`commit` are its siblings, not its children
+/// — and on a hit it is the only thing after `optimize`.
+#[test]
+fn traces_cover_decode_and_the_cache_lookup() {
+    let service = service_for(1, 10.0);
+    let names = |spans: &[(String, Option<u64>, u64)]| -> Vec<String> {
+        spans.iter().map(|(name, _, _)| name.clone()).collect()
+    };
+
+    let miss = spans(&service.handle_line(&ccdf_request(true, "m").to_json_string()));
+    assert_eq!(
+        names(&miss),
+        [
+            "decode", "validate", "bind", "optimize", "cache", "reserve", "execute", "noise",
+            "commit"
+        ]
+    );
+    for (name, parent, _) in &miss {
+        let expected = (name == "noise").then_some(6);
+        assert_eq!(*parent, expected, "parent of '{name}'");
+    }
+
+    let hit = spans(&service.handle_line(&ccdf_request(true, "h").to_json_string()));
+    assert_eq!(
+        names(&hit),
+        ["decode", "validate", "bind", "optimize", "cache"]
+    );
+    assert!(hit.iter().all(|(_, parent, _)| parent.is_none()));
+    assert!(hit[0].2 > 0, "parsing a plan takes more than a microsecond");
+}
+
+/// Envelope assembly and reply size are recorded where a trace cannot reach (a trace
+/// cannot contain its own serialization): one observation per successful reply, sizes
+/// split by the encoding that was asked for.
+#[test]
+fn response_encode_time_and_size_are_observed_per_successful_reply() {
+    use wpinq_service::{RESPONSE_BYTES_METRIC, RESPONSE_ENCODE_METRIC};
+    let registry = wpinq_telemetry::registry();
+    // Other tests in this process reply concurrently: counts only ever go up.
+    let encodes = registry.histogram_count(RESPONSE_ENCODE_METRIC);
+    let sizes = registry.histogram_count(RESPONSE_BYTES_METRIC);
+
+    let service = service_for(1, 10.0);
+    let mut columnar = ccdf_request(false, "c");
+    columnar.encoding = ResponseEncoding::Columnar;
+    let mut refused = ccdf_request(false, "x");
+    refused.epsilon = 1e9;
+    let lines = [ccdf_request(false, "j"), columnar, refused].map(|r| r.to_json_string());
+    let replies = lines.each_ref().map(|line| service.handle_line(line));
+    assert!(replies[2].contains("\"budget_exceeded\""), "{}", replies[2]);
+
+    assert!(registry.histogram_count(RESPONSE_ENCODE_METRIC) >= encodes + 2);
+    assert!(registry.histogram_count(RESPONSE_BYTES_METRIC) >= sizes + 2);
+    let stats = service.handle_line("{\"op\":\"stats\"}");
+    for series in [
+        "wpinq_response_encode_ms",
+        "wpinq_response_bytes{encoding=\\\"json\\\"}",
+        "wpinq_response_bytes{encoding=\\\"columnar\\\"}",
+    ] {
+        assert!(stats.contains(series), "stats missing '{series}': {stats}");
+    }
+}
+
 /// The `{"op":"stats"}` sideband op exposes the registry over the normal front door.
 #[test]
 fn stats_op_reports_request_and_cache_metrics() {

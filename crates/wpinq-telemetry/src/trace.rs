@@ -158,9 +158,15 @@ impl Tracer {
 
     /// A live tracer; its clock starts now.
     pub fn enabled() -> Self {
+        Tracer::enabled_since(Instant::now())
+    }
+
+    /// A live tracer whose clock started at `origin` — for work that began before the
+    /// caller could know it would be traced (see [`record_span_us`](Self::record_span_us)).
+    pub fn enabled_since(origin: Instant) -> Self {
         Tracer {
             inner: Some(Arc::new(Mutex::new(TraceData {
-                origin: Instant::now(),
+                origin,
                 fields: Vec::new(),
                 spans: Vec::new(),
                 stack: Vec::new(),
