@@ -12,17 +12,19 @@
 //! * [`operators`] — incremental implementations of every wPINQ transformation. Stateless
 //!   operators (`Select`, `Where`, `SelectMany`, `Concat`, `Except`) map deltas directly;
 //!   keyed stateful operators (`Join`, `GroupBy`, `Shave`, `Union`, `Intersect`) index
-//!   their inputs by key and recompute only the affected keys, exactly the "data-parallel,
-//!   only changed parts are reprocessed" strategy of Appendix B.
+//!   their inputs by key and update only the affected keys, exactly the "data-parallel,
+//!   only changed parts are reprocessed" strategy of Appendix B. `Join` walks each
+//!   touched key's matches once (`|A_k ∪ A′_k| · |B_k|` pairs, counted by
+//!   [`JOIN_PAIRS_METRIC`]) rather than re-running the batch kernel on it.
 //! * [`stream`] — a small push-based dataflow builder ([`Stream`]) that wires those
 //!   operators into a DAG mirroring a wPINQ query, with [`CollectedOutput`] sinks and
 //!   [`L1Scorer`] sinks that maintain `‖Q(A) − m‖₁` incrementally (the quantity the MCMC
 //!   acceptance test needs).
 //! * [`sharded`] — the hash-partitioned parallel twin of [`stream`]: [`ShardedStream`]
 //!   carries delta batches partitioned by record hash, stateful operators shard their
-//!   state by key hash and recompute affected keys on the long-lived
-//!   [`wpinq_core::shard::WorkerPool`] (channel-fed workers; zero thread spawns in steady
-//!   state), and deltas are exchanged only at `GroupBy`/`Join` boundaries. Batches below
+//!   state by key hash and update affected keys (with the same per-key operators) on
+//!   the long-lived [`wpinq_core::shard::WorkerPool`] (channel-fed workers; zero thread
+//!   spawns in steady state), and deltas are exchanged only at `GroupBy`/`Join` boundaries. Batches below
 //!   a per-operator cutover ([`sharded::DEFAULT_INLINE_CUTOVER`], calibrated by the plan
 //!   lowering, overridable via [`sharded::INLINE_CUTOVER_ENV`]) run inline. Propagation
 //!   is **bitwise identical** to the sequential graph (canonical consolidation at every
@@ -50,6 +52,7 @@ pub mod sharded;
 pub mod stream;
 
 pub use delta::{consolidate, diff_datasets, Delta};
+pub use operators::JOIN_PAIRS_METRIC;
 pub use scorer::L1Scorer;
 pub use sharded::{
     ShardedDeltas, ShardedInput, ShardedStream, DEFAULT_INLINE_CUTOVER, EXCHANGES_METRIC,

@@ -2,17 +2,42 @@
 //!
 //! Stateless operators are linear in the record weights, so a weight delta maps directly to
 //! an output delta. Stateful operators keep their inputs indexed by key (or by record) and,
-//! when deltas arrive, recompute *only the affected keys* by calling the corresponding
-//! batch operator from the `wpinq` crate on the key's restriction — this guarantees the
-//! incremental semantics agree with the batch semantics exactly, which the equivalence
-//! property tests rely on.
+//! when deltas arrive, update *only the affected keys*. `GroupBy` and `Shave` recompute a
+//! key's restriction with the corresponding batch operator from `wpinq-core` and diff the
+//! results. `Join` instead walks each touched key once, emitting the change of every match
+//! with the same per-pair expression and canonical norms as the batch kernel, so its
+//! deltas are bitwise those of a recompute-and-diff at a fraction of the cost. Either way
+//! the incremental semantics agree with the batch semantics exactly, which the
+//! equivalence property tests rely on.
+
+use std::sync::{Arc, OnceLock};
 
 use rustc_hash::FxHashMap;
 
+use wpinq_core::accumulate::{canonical_norm, Contribution};
 use wpinq_core::operators as batch;
-use wpinq_core::{Record, WeightedDataset};
+use wpinq_core::{weights, Record, WeightedDataset};
+use wpinq_telemetry::{registry, Counter};
 
 use crate::delta::{consolidate, diff_datasets, Delta};
+
+/// Registry name of the counter of `(changed record, fixed record)` pairs the incremental
+/// join evaluates, cumulative over the process. A delta on one side under key `k` costs
+/// `|A_k ∪ A′_k| · |B_k|` pairs (the changed side's records before or after the delta,
+/// times the other side's records), which is the paper's per-step cost model made
+/// countable: read it with `wpinq_telemetry::registry().counter_value(JOIN_PAIRS_METRIC)`.
+pub const JOIN_PAIRS_METRIC: &str = "wpinq_join_pairs_total";
+
+fn join_pairs_counter() -> &'static Arc<Counter> {
+    static C: OnceLock<Arc<Counter>> = OnceLock::new();
+    C.get_or_init(|| {
+        registry().counter(
+            JOIN_PAIRS_METRIC,
+            &[],
+            "Record pairs evaluated by incremental joins under touched keys",
+        )
+    })
+}
 
 // ---------------------------------------------------------------------------------------
 // Stateless (linear) operators
@@ -108,9 +133,11 @@ pub fn inc_negate<T: Record>(deltas: &[Delta<T>]) -> Vec<Delta<T>> {
 // ---------------------------------------------------------------------------------------
 
 /// Incremental `Join` (equation (1)): inputs are indexed by key; a delta on either side
-/// triggers a recomputation of exactly the keys it touches, including the renormalisation
-/// of every match under those keys (the paper notes this is the one place wPINQ's join is
-/// more expensive than a relational incremental join).
+/// re-derives exactly the keys it touches, including the renormalisation of every match
+/// under those keys (the paper notes this is the one place wPINQ's join is more expensive
+/// than a relational incremental join). A delta on the left under key `k` costs one pass
+/// over `|A_k ∪ A′_k| · |B_k|` pairs — the left records before or after the delta, times
+/// the right records — and symmetrically on the right; see [`JOIN_PAIRS_METRIC`].
 pub struct IncrementalJoin<A, B, K, R, KA, KB, RF>
 where
     A: Record,
@@ -126,6 +153,138 @@ where
     key_left: KA,
     key_right: KB,
     result: RF,
+    // Per-key scratch of the fused update, emptied after every key with its capacity
+    // kept, so a step does not allocate a fresh `|A_k|·|B_k|` map per touched key.
+    /// Each output record's contributions under the key, before and after the deltas.
+    outputs: FxHashMap<R, BeforeAfter>,
+    /// The pre-delta weights of the left records the deltas touch.
+    left_old: FxHashMap<A, f64>,
+    /// The pre-delta weights of the right records the deltas touch.
+    right_old: FxHashMap<B, f64>,
+}
+
+/// One output record's match contributions under a key, before and after the key's deltas.
+#[derive(Default)]
+struct BeforeAfter {
+    before: Option<Contribution>,
+    after: Option<Contribution>,
+}
+
+/// Adds one contribution to an optional accumulator.
+fn push_contribution(slot: &mut Option<Contribution>, weight: f64) {
+    match slot {
+        Some(contribution) => contribution.push(weight),
+        None => *slot = Some(Contribution::One(weight)),
+    }
+}
+
+/// A record's resolved join weight: its contributions summed canonically, with a
+/// negligible total counting as absent (exactly how the batch join prunes).
+fn resolve(slot: Option<Contribution>) -> f64 {
+    slot.map_or(0.0, |contribution| {
+        weights::snap_to_zero(contribution.finish())
+    })
+}
+
+/// The fused per-key update shared by both join sides. `changed` is the key's part on the
+/// side the deltas (all under that key) arrive at, `fixed` the other side's part (if
+/// any), and `result(changed_record, fixed_record)` the join's result selector with its
+/// arguments in that order. The update:
+///
+/// 1. takes the part's canonical norm before the deltas and records each touched
+///    record's old weight in `old`;
+/// 2. applies the deltas;
+/// 3. walks `(part before ∪ part after) × fixed` once, pushing each match's old
+///    contribution `w_old·w_y/d_old` and new one `w_new·w_y/d_new` into the record's
+///    [`BeforeAfter`] — the expression and `canonical_norm` denominators
+///    `wpinq_core::operators::join` uses, so each per-key total is bitwise the batch
+///    join's;
+/// 4. emits `resolve(after) − resolve(before)` per output record, skipping negligible
+///    changes — bitwise `diff_datasets(join(after), join(before))`.
+///
+/// Returns the number of pairs walked.
+fn fused_key_delta<C, F, R>(
+    changed: &mut WeightedDataset<C>,
+    fixed: Option<&WeightedDataset<F>>,
+    deltas: Vec<Delta<C>>,
+    result: impl Fn(&C, &F) -> R,
+    old: &mut FxHashMap<C, f64>,
+    outputs: &mut FxHashMap<R, BeforeAfter>,
+    out: &mut Vec<Delta<R>>,
+) -> u64
+where
+    C: Record,
+    F: Record,
+    R: Record,
+{
+    let Some(fixed) = fixed else {
+        // No match under this key before or after the deltas: only the state moves.
+        for (record, weight) in deltas {
+            changed.add_weight(record, weight);
+        }
+        return 0;
+    };
+    let fixed_norm = canonical_norm(fixed.iter().map(|(_, w)| w));
+    let old_norm = canonical_norm(changed.iter().map(|(_, w)| w));
+    for (record, weight) in deltas {
+        old.entry(record.clone())
+            .or_insert_with(|| changed.weight(&record));
+        changed.add_weight(record, weight);
+    }
+    let new_norm = canonical_norm(changed.iter().map(|(_, w)| w));
+    // `‖changed‖ + ‖fixed‖`, bitwise the batch kernel's `‖build‖ + ‖probe‖` since float
+    // `+` commutes.
+    let (d_old, d_new) = (old_norm + fixed_norm, new_norm + fixed_norm);
+
+    let mut walked = 0u64;
+    let mut walk = |record: &C, w_old: f64, w_new: f64| {
+        // Absent on both sides of the delta (e.g. a negligible insertion): no match.
+        if w_old == 0.0 && w_new == 0.0 {
+            return;
+        }
+        walked += 1;
+        for (y, w_y) in fixed.iter() {
+            let slot = outputs.entry(result(record, y)).or_default();
+            if w_old != 0.0 {
+                push_contribution(&mut slot.before, w_old * w_y / d_old);
+            }
+            if w_new != 0.0 {
+                push_contribution(&mut slot.after, w_new * w_y / d_new);
+            }
+        }
+    };
+    for (record, &w_old) in old.iter() {
+        walk(record, w_old, changed.weight(record));
+    }
+    for (record, w) in changed.iter() {
+        if !old.contains_key(record) {
+            walk(record, w, w);
+        }
+    }
+    old.clear();
+
+    for (record, slot) in outputs.drain() {
+        let change = resolve(slot.after) - resolve(slot.before);
+        if !weights::is_negligible(change) {
+            out.push((record, change));
+        }
+    }
+    walked * fixed.len() as u64
+}
+
+/// Groups deltas by key, preserving each key's delta order.
+fn group_by_key<T: Record, K: Record>(
+    deltas: &[Delta<T>],
+    key: impl Fn(&T) -> K,
+) -> FxHashMap<K, Vec<Delta<T>>> {
+    let mut by_key: FxHashMap<K, Vec<Delta<T>>> = FxHashMap::default();
+    for (record, weight) in deltas {
+        by_key
+            .entry(key(record))
+            .or_default()
+            .push((record.clone(), *weight));
+    }
+    by_key
 }
 
 impl<A, B, K, R, KA, KB, RF> IncrementalJoin<A, B, K, R, KA, KB, RF>
@@ -146,6 +305,9 @@ where
             key_left,
             key_right,
             result,
+            outputs: FxHashMap::default(),
+            left_old: FxHashMap::default(),
+            right_old: FxHashMap::default(),
         }
     }
 
@@ -161,14 +323,6 @@ where
             + self.right.values().map(|d| d.len()).sum::<usize>()
     }
 
-    fn recompute_key(&self, key: &K) -> WeightedDataset<R> {
-        let empty_a = WeightedDataset::new();
-        let empty_b = WeightedDataset::new();
-        let a = self.left.get(key).unwrap_or(&empty_a);
-        let b = self.right.get(key).unwrap_or(&empty_b);
-        batch::join(a, b, &self.key_left, &self.key_right, &self.result)
-    }
-
     /// Feeds deltas into the left input, returning the induced output deltas.
     pub fn push_left(&mut self, deltas: &[Delta<A>]) -> Vec<Delta<R>> {
         consolidate(self.push_left_raw(deltas))
@@ -179,25 +333,22 @@ where
     /// uses this so contributions from every key shard are consolidated exactly *once*
     /// at their destination, in the same canonical pass the sequential operator runs.
     pub fn push_left_raw(&mut self, deltas: &[Delta<A>]) -> Vec<Delta<R>> {
-        let mut by_key: FxHashMap<K, Vec<Delta<A>>> = FxHashMap::default();
-        for (record, weight) in deltas {
-            by_key
-                .entry((self.key_left)(record))
-                .or_default()
-                .push((record.clone(), *weight));
-        }
         let mut out = Vec::new();
-        for (key, key_deltas) in by_key {
-            let before = self.recompute_key(&key);
+        for (key, key_deltas) in group_by_key(deltas, &self.key_left) {
             let part = self.left.entry(key.clone()).or_default();
-            for (record, weight) in key_deltas {
-                part.add_weight(record, weight);
-            }
+            let pairs = fused_key_delta(
+                part,
+                self.right.get(&key),
+                key_deltas,
+                &self.result,
+                &mut self.left_old,
+                &mut self.outputs,
+                &mut out,
+            );
+            join_pairs_counter().add(pairs);
             if part.is_empty() {
                 self.left.remove(&key);
             }
-            let after = self.recompute_key(&key);
-            out.extend(diff_datasets(&after, &before));
         }
         out
     }
@@ -210,27 +361,88 @@ where
     /// [`push_right`](Self::push_right) without the final consolidation (see
     /// [`push_left_raw`](Self::push_left_raw)).
     pub fn push_right_raw(&mut self, deltas: &[Delta<B>]) -> Vec<Delta<R>> {
-        let mut by_key: FxHashMap<K, Vec<Delta<B>>> = FxHashMap::default();
-        for (record, weight) in deltas {
-            by_key
-                .entry((self.key_right)(record))
-                .or_default()
-                .push((record.clone(), *weight));
-        }
         let mut out = Vec::new();
-        for (key, key_deltas) in by_key {
-            let before = self.recompute_key(&key);
+        let result = &self.result;
+        for (key, key_deltas) in group_by_key(deltas, &self.key_right) {
             let part = self.right.entry(key.clone()).or_default();
-            for (record, weight) in key_deltas {
-                part.add_weight(record, weight);
-            }
+            let pairs = fused_key_delta(
+                part,
+                self.left.get(&key),
+                key_deltas,
+                |b: &B, a: &A| result(a, b),
+                &mut self.right_old,
+                &mut self.outputs,
+                &mut out,
+            );
+            join_pairs_counter().add(pairs);
             if part.is_empty() {
                 self.right.remove(&key);
             }
-            let after = self.recompute_key(&key);
-            out.extend(diff_datasets(&after, &before));
         }
         out
+    }
+}
+
+#[cfg(test)]
+impl<A, B, K, R, KA, KB, RF> IncrementalJoin<A, B, K, R, KA, KB, RF>
+where
+    A: Record,
+    B: Record,
+    K: Record,
+    R: Record,
+    KA: Fn(&A) -> K,
+    KB: Fn(&B) -> K,
+    RF: Fn(&A, &B) -> R,
+{
+    /// The batch join of one key's restriction: the oracle the fused update is pinned to.
+    fn recompute_key(&self, key: &K) -> WeightedDataset<R> {
+        let empty_a = WeightedDataset::new();
+        let empty_b = WeightedDataset::new();
+        let a = self.left.get(key).unwrap_or(&empty_a);
+        let b = self.right.get(key).unwrap_or(&empty_b);
+        batch::join(a, b, &self.key_left, &self.key_right, &self.result)
+    }
+
+    /// The recompute-and-diff update: for every touched key, the batch join of the key
+    /// before and after `apply` mutates the state, diffed.
+    fn oracle_push_raw(&mut self, keys: Vec<K>, apply: impl FnOnce(&mut Self)) -> Vec<Delta<R>> {
+        let before: Vec<_> = keys.iter().map(|key| self.recompute_key(key)).collect();
+        apply(self);
+        let mut out = Vec::new();
+        for (key, before) in keys.iter().zip(&before) {
+            out.extend(diff_datasets(&self.recompute_key(key), before));
+        }
+        out
+    }
+
+    /// [`push_left_raw`](Self::push_left_raw) by recompute-and-diff.
+    fn oracle_push_left_raw(&mut self, deltas: &[Delta<A>]) -> Vec<Delta<R>> {
+        let keys = group_by_key(deltas, &self.key_left).into_keys().collect();
+        self.oracle_push_raw(keys, |join| {
+            for (record, weight) in deltas {
+                let key = (join.key_left)(record);
+                let part = join.left.entry(key.clone()).or_default();
+                part.add_weight(record.clone(), *weight);
+                if part.is_empty() {
+                    join.left.remove(&key);
+                }
+            }
+        })
+    }
+
+    /// [`push_right_raw`](Self::push_right_raw) by recompute-and-diff.
+    fn oracle_push_right_raw(&mut self, deltas: &[Delta<B>]) -> Vec<Delta<R>> {
+        let keys = group_by_key(deltas, &self.key_right).into_keys().collect();
+        self.oracle_push_raw(keys, |join| {
+            for (record, weight) in deltas {
+                let key = (join.key_right)(record);
+                let part = join.right.entry(key.clone()).or_default();
+                part.add_weight(record.clone(), *weight);
+                if part.is_empty() {
+                    join.right.remove(&key);
+                }
+            }
+        })
     }
 }
 
@@ -281,15 +493,8 @@ where
     /// records (collisions across keys); the sharded engine consolidates them once at
     /// their destination shard.
     pub fn push_raw(&mut self, deltas: &[Delta<T>]) -> Vec<Delta<(K, R)>> {
-        let mut by_key: FxHashMap<K, Vec<Delta<T>>> = FxHashMap::default();
-        for (record, weight) in deltas {
-            by_key
-                .entry((self.key)(record))
-                .or_default()
-                .push((record.clone(), *weight));
-        }
         let mut out = Vec::new();
-        for (key, key_deltas) in by_key {
+        for (key, key_deltas) in group_by_key(deltas, &self.key) {
             let before = self.recompute_key(&key);
             let part = self.parts.entry(key.clone()).or_default();
             for (record, weight) in key_deltas {
@@ -494,6 +699,147 @@ mod tests {
         }
         assert!(inc.state_keys() > 0);
         assert!(inc.state_records() > 0);
+    }
+
+    /// The input(s) one oracle-test step feeds.
+    #[derive(Clone, Copy, Debug)]
+    enum Side {
+        Left,
+        Right,
+        /// The same batch to the left input and then the right one, as a self-join's
+        /// shared input delivers it.
+        Both,
+    }
+
+    /// A delta weight from a small palette: unit insertions and removals, fractions, and
+    /// weights within 10× of the prune threshold (some negligible on arrival).
+    fn weight_of(choice: u8) -> f64 {
+        let t = weights::PRUNE_THRESHOLD;
+        match choice {
+            0 => 1.0,
+            1 => -1.0,
+            2 => 0.375,
+            3 => 2.5,
+            4 => 0.2 * t,
+            5 => 3.0 * t,
+            6 => -4.0 * t,
+            _ => 9.5 * t,
+        }
+    }
+
+    /// A consolidated delta batch as sorted `(record, weight bits)`.
+    fn bits<R: Record>(deltas: Vec<Delta<R>>) -> Vec<(R, u64)> {
+        let mut out: Vec<(R, u64)> = consolidate(deltas)
+            .into_iter()
+            .map(|(r, w)| (r, w.to_bits()))
+            .collect();
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+
+    /// Feeds `deltas` to `fused` through the fused update and to `oracle` by
+    /// recompute-and-diff, asserting bitwise-equal consolidated outputs and equal state.
+    fn push_both_ways<T, K, R, KA, KB, RF>(
+        fused: &mut IncrementalJoin<T, T, K, R, KA, KB, RF>,
+        oracle: &mut IncrementalJoin<T, T, K, R, KA, KB, RF>,
+        side: Side,
+        deltas: &[Delta<T>],
+    ) where
+        T: Record,
+        K: Record,
+        R: Record,
+        KA: Fn(&T) -> K,
+        KB: Fn(&T) -> K,
+        RF: Fn(&T, &T) -> R,
+    {
+        let lefts: &[bool] = match side {
+            Side::Left => &[true],
+            Side::Right => &[false],
+            Side::Both => &[true, false],
+        };
+        for &left in lefts {
+            let (got, want) = if left {
+                (
+                    fused.push_left_raw(deltas),
+                    oracle.oracle_push_left_raw(deltas),
+                )
+            } else {
+                (
+                    fused.push_right_raw(deltas),
+                    oracle.oracle_push_right_raw(deltas),
+                )
+            };
+            assert_eq!(bits(got), bits(want), "{side:?} (left: {left}) {deltas:?}");
+            assert!(fused.left == oracle.left && fused.right == oracle.right);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn fused_join_matches_recompute_and_diff_bitwise(
+            steps in proptest::collection::vec(
+                (0u8..4, proptest::collection::vec((0u32..24, 0u8..8), 1..6)),
+                1..40,
+            ),
+        ) {
+            // Left keys 4 and 5 never occur on the right: keys present on one side only.
+            let (key_l, key_r) = (|x: &u32| x % 6, |x: &u32| x % 4);
+            // Non-injective within a key, so matches collide on output records.
+            let colliding = |a: &u32, b: &u32| (a + b) % 5;
+            let pairs = |a: &u32, b: &u32| (*a, *b);
+            let mut fused_c = IncrementalJoin::new(key_l, key_r, colliding);
+            let mut oracle_c = IncrementalJoin::new(key_l, key_r, colliding);
+            let mut fused_p = IncrementalJoin::new(key_l, key_r, pairs);
+            let mut oracle_p = IncrementalJoin::new(key_l, key_r, pairs);
+            for (kind, raw) in &steps {
+                let (side, deltas): (Side, Vec<Delta<u32>>) = match kind {
+                    0 => (Side::Left, raw.iter().map(|&(r, w)| (r, weight_of(w))).collect()),
+                    1 => (Side::Right, raw.iter().map(|&(r, w)| (r, weight_of(w))).collect()),
+                    2 => (Side::Both, raw.iter().map(|&(r, w)| (r, weight_of(w))).collect()),
+                    _ => {
+                        // Remove every record under one key of one side: the key empties.
+                        let probe = raw[0].0;
+                        let (side, part) = if probe % 2 == 0 {
+                            (Side::Left, oracle_c.left.get(&key_l(&probe)))
+                        } else {
+                            (Side::Right, oracle_c.right.get(&key_r(&probe)))
+                        };
+                        let deltas = part
+                            .map(|p| p.iter().map(|(r, w)| (*r, -w)).collect())
+                            .unwrap_or_default();
+                        (side, deltas)
+                    }
+                };
+                push_both_ways(&mut fused_c, &mut oracle_c, side, &deltas);
+                push_both_ways(&mut fused_p, &mut oracle_p, side, &deltas);
+            }
+        }
+
+        #[test]
+        fn fused_self_join_matches_recompute_and_diff_bitwise(
+            steps in proptest::collection::vec(
+                proptest::collection::vec(((0u32..7, 0u32..7), 0u8..8), 1..9),
+                1..30,
+            ),
+        ) {
+            // Length-two paths over one edge input fed to both sides, with the injective
+            // path selector and a colliding one ((a, b, c) and (c, b, a) share endpoints).
+            let (key_l, key_r) = (|e: &(u32, u32)| e.1, |e: &(u32, u32)| e.0);
+            let paths = |x: &(u32, u32), y: &(u32, u32)| (x.0, x.1, y.1);
+            let ends = |x: &(u32, u32), y: &(u32, u32)| (x.0.min(y.1), x.0.max(y.1));
+            let mut fused_p = IncrementalJoin::new(key_l, key_r, paths);
+            let mut oracle_p = IncrementalJoin::new(key_l, key_r, paths);
+            let mut fused_e = IncrementalJoin::new(key_l, key_r, ends);
+            let mut oracle_e = IncrementalJoin::new(key_l, key_r, ends);
+            for raw in &steps {
+                let deltas: Vec<Delta<(u32, u32)>> =
+                    raw.iter().map(|&(e, w)| (e, weight_of(w))).collect();
+                push_both_ways(&mut fused_p, &mut oracle_p, Side::Both, &deltas);
+                push_both_ways(&mut fused_e, &mut oracle_e, Side::Both, &deltas);
+            }
+        }
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //!    no extra float-summation level is ever introduced.
 //! 2. Stateful operators partition their state by key; a key's state shard evolves by the
 //!    identical per-record `add_weight` sequence as the sequential operator's state
-//!    restricted to that key, and the per-key recomputations call the same canonical
-//!    batch kernels.
+//!    restricted to that key, and each shard runs the very same per-key update (the
+//!    join's fused per-key pass, the group-by's and shave's batch recomputations).
 //! 3. The [`L1Scorer`] sink applies each batch's per-record distance changes in canonical
 //!    order, so the maintained distance is independent of bucket arrival order.
 //!
@@ -583,8 +583,9 @@ impl<T: Record> ShardedStream<T> {
     }
 
     /// Incremental `Join` (equation (1) of the paper): both inputs are exchanged by key
-    /// hash onto `n` join-state shards; each affected key is recomputed by the shard
-    /// owning it and the output deltas are exchanged by output record hash.
+    /// hash onto `n` join-state shards; the shard owning each affected key walks that
+    /// key's matches once (the fused update of [`IncrementalJoin`]) and the output deltas
+    /// are exchanged by output record hash.
     pub fn join<U, K, R, KA, KB, RF>(
         &self,
         other: &ShardedStream<U>,

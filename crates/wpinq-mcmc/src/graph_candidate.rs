@@ -271,6 +271,43 @@ mod tests {
     }
 
     #[test]
+    fn seeded_trajectory_energies_are_pinned() {
+        // A seeded TbI + degree-sequence walk, pinned to the bit: the FNV-1a hash of every
+        // step's energy bits, the accepted count and the final energy. The constants were
+        // recorded with the join's recompute-and-diff update, so they hold the incremental
+        // engine's arithmetic fixed across rewrites of its operators, on both engines.
+        const ENERGY_HASH: u64 = 0x8a87_2d92_5ab0_a2f3;
+        const ACCEPTED: u64 = 143;
+        const FINAL_ENERGY_BITS: u64 = 0x4033_df49_4460_d8d6;
+
+        let mut rng = StdRng::seed_from_u64(11);
+        let secret = generators::powerlaw_cluster(120, 3, 0.7, &mut rng);
+        let mut seed = secret.clone();
+        generators::degree_preserving_rewire(&mut seed, 400, &mut rng);
+        for engine in [IncrementalEngine::Sequential, IncrementalEngine::Sharded(2)] {
+            let mut candidate = measured_candidate_on(&secret, seed.clone(), 1e5, engine);
+            let driver = MetropolisHastings::new(0.1, 10_000.0);
+            let mut walk_rng = StdRng::seed_from_u64(5);
+            let (mut hash, mut accepted) = (0xcbf2_9ce4_8422_2325u64, 0u64);
+            for _ in 0..500 {
+                if driver.step(&mut candidate, &mut walk_rng) == StepOutcome::Accepted {
+                    accepted += 1;
+                }
+                for byte in candidate.energy().to_bits().to_le_bytes() {
+                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+            let final_bits = candidate.energy().to_bits();
+            assert_eq!(hash, ENERGY_HASH, "{engine:?}: energy trajectory moved");
+            assert_eq!(accepted, ACCEPTED, "{engine:?}: accepted count moved");
+            assert_eq!(
+                final_bits, FINAL_ENERGY_BITS,
+                "{engine:?}: final energy moved"
+            );
+        }
+    }
+
+    #[test]
     fn mcmc_over_a_candidate_recovers_triangles_lost_by_rewiring() {
         // Miniature version of the Figure 4 experiment: start from a degree-matched rewired
         // seed and check that MCMC against a (nearly noise-free) TbI measurement pushes the
