@@ -30,7 +30,6 @@ fn run(
         triangle_query: TriangleQuery::TbD { bucket },
         score_degrees: false,
         threads,
-        inc_shards: 0,
     };
     wpinq_mcmc::synthesis::synthesize(graph, &config, &mut rng).expect("synthesis within budget")
 }

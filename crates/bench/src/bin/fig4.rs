@@ -27,7 +27,6 @@ fn run(
         triangle_query: TriangleQuery::TbI,
         score_degrees: false,
         threads,
-        inc_shards: 0,
     };
     wpinq_mcmc::synthesis::synthesize(graph, &config, &mut rng).expect("synthesis within budget")
 }

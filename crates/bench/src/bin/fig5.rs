@@ -54,7 +54,6 @@ fn main() {
                     triangle_query: TriangleQuery::TbI,
                     score_degrees: false,
                     threads: args.threads_or_env(),
-                    inc_shards: 0,
                 };
                 let result = wpinq_mcmc::synthesis::synthesize(graph, &config, &mut rng)
                     .expect("synthesis within budget");

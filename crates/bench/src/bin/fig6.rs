@@ -47,7 +47,6 @@ fn main() {
             triangle_query: TriangleQuery::TbI,
             score_degrees: false,
             threads: args.threads_or_env(),
-            inc_shards: 0,
         };
         let (result, growth) = measure_growth(|| {
             wpinq_mcmc::synthesis::synthesize(&entry.graph, &config, &mut rng)
@@ -89,7 +88,6 @@ fn main() {
                 triangle_query: TriangleQuery::TbI,
                 score_degrees: false,
                 threads: args.threads_or_env(),
-                inc_shards: 0,
             };
             wpinq_mcmc::synthesis::synthesize(graph, &config, &mut rng)
                 .expect("synthesis within budget")

@@ -1,36 +1,24 @@
-//! MCMC incremental-engine benchmark: edge-swap throughput per backend × shard count.
+//! MCMC incremental-engine benchmark: edge-swap throughput.
 //!
 //! Runs the Metropolis–Hastings edge-swap walk (the synthesis loop's dominant cost)
-//! against TbI + degree-sequence scorers lowered onto each incremental engine — the
-//! sequential `Stream` graph and the sharded engine at 1/2/4/8 shards — and records
-//! steps/sec into `BENCH_mcmc.json`. Along the way it asserts the engines stay
-//! **bitwise identical**: every backend walks the identical seeded trajectory (energies
-//! and final graphs equal to the last bit), so the numbers compare like for like.
+//! against TbI + degree-sequence scorers lowered onto the incremental `Stream` graph and
+//! records wall times into `BENCH_mcmc.json`.
 //!
 //! Rows use the same `(workload, executor, shards, wall_ms)` schema as
 //! `BENCH_parallel.json`, so `bench --bin gate` gates this file unchanged
-//! (`--baseline BENCH_mcmc.json --fresh BENCH_mcmc_fresh.json`). Each backend emits
+//! (`--baseline BENCH_mcmc.json --fresh BENCH_mcmc_fresh.json`). The engine emits
 //! **two** workload rows — `mcmc-load` (scorer lowering + initial bulk dataset load)
-//! and `mcmc-swaps` (the walk itself) — so the gate's per-(executor, shards) relative
-//! normalisation has intra-group contrast: one of the pair regressing against the other
-//! trips the per-row threshold, and a whole group regressing together trips the
-//! group-median allowance.
+//! and `mcmc-swaps` (the walk itself) — so the gate's relative normalisation has
+//! contrast: one of the pair regressing against the other trips the per-row threshold,
+//! and both regressing together trip the group-median allowance.
 //!
 //! Flags: `--scale full` for the full-size stand-ins, `--steps N` (default 2000 quick /
 //! 10000 full), `--seed N`, `--out PATH`.
 //!
-//! Each row also snapshots the engine's instrumentation counters from the
-//! `wpinq-telemetry` registry — OS threads spawned
-//! ([`wpinq::shard::THREADS_SPAWNED_METRIC`]), worker-pool dispatches
-//! ([`wpinq::shard::POOL_DISPATCHES_METRIC`]), and consolidating exchanges
-//! ([`wpinq_dataflow::EXCHANGES_METRIC`]) — as deltas over the phase. The sharded engine's
-//! persistent worker pool is spawned once at load; the walk itself must spawn **zero**
-//! threads (asserted below), which is the whole point of the pool.
-//!
-//! Speedups depend on the hardware: pool workers are OS threads, so a single-core
-//! container (`hardware_threads` in the JSON) cannot show wall-clock wins — and small
-//! swap batches run inline below each operator's calibrated cutover regardless. Bitwise
-//! equality must (and does) hold either way.
+//! Each row also snapshots the OS threads spawned
+//! ([`wpinq::shard::THREADS_SPAWNED_METRIC`]) and worker-pool dispatches
+//! ([`wpinq::shard::POOL_DISPATCHES_METRIC`]) from the `wpinq-telemetry` registry as
+//! deltas over the phase; the walk must spawn **zero** threads (asserted below).
 
 use std::time::Instant;
 
@@ -38,7 +26,6 @@ use bench::report::{fmt_f, heading, Table};
 use bench::{smallsets, HarnessArgs};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wpinq::plan::IncrementalEngine;
 use wpinq::PrivacyBudget;
 use wpinq_analyses::degree::degree_sequence_query;
 use wpinq_analyses::edges::GraphEdges;
@@ -60,9 +47,6 @@ struct Row {
     /// Worker-pool dispatches during this phase (delta of
     /// [`wpinq::shard::POOL_DISPATCHES_METRIC`]).
     dispatches: u64,
-    /// Consolidating exchanges during this phase (delta of
-    /// [`wpinq_dataflow::EXCHANGES_METRIC`]).
-    exchanges: u64,
 }
 
 /// Snapshot of the engine instrumentation counters (read off the `wpinq-telemetry`
@@ -70,7 +54,6 @@ struct Row {
 struct Counters {
     spawns: u64,
     dispatches: u64,
-    exchanges: u64,
 }
 
 impl Counters {
@@ -79,7 +62,6 @@ impl Counters {
         Counters {
             spawns: registry.counter_value(wpinq::shard::THREADS_SPAWNED_METRIC),
             dispatches: registry.counter_value(wpinq::shard::POOL_DISPATCHES_METRIC),
-            exchanges: registry.counter_value(wpinq_dataflow::EXCHANGES_METRIC),
         }
     }
 
@@ -88,7 +70,6 @@ impl Counters {
         Counters {
             spawns: now.spawns - self.spawns,
             dispatches: now.dispatches - self.dispatches,
-            exchanges: now.exchanges - self.exchanges,
         }
     }
 }
@@ -96,10 +77,9 @@ impl Counters {
 fn run_walk(
     secret: &wpinq_graph::Graph,
     seed_graph: &wpinq_graph::Graph,
-    engine: IncrementalEngine,
     steps: u64,
     seed: u64,
-) -> (Row, Row, Vec<(u32, u32)>) {
+) -> (Row, Row) {
     let edges = GraphEdges::new(secret, PrivacyBudget::unlimited());
     let mut measure_rng = StdRng::seed_from_u64(seed);
     let tbi = TbiMeasurement::measure(&edges.queryable(), 1e5, &mut measure_rng)
@@ -107,17 +87,12 @@ fn run_walk(
     let seq = degree_sequence_query(&edges.queryable())
         .noisy_count(1e5, &mut measure_rng)
         .expect("unlimited budget");
-    let (executor, shards) = match engine {
-        IncrementalEngine::Sequential => ("seq-inc", 1),
-        IncrementalEngine::Sharded(n) => ("sharded-inc", n),
-    };
+    let (executor, shards) = ("seq-inc", 1);
 
     // Workload 1: lower the scorers and bulk-load the seed graph through the engine.
-    // The sharded engine's persistent worker pool is (lazily) created here, so any
-    // thread spawns land on this row.
     let before = Counters::now();
     let started = Instant::now();
-    let mut candidate = GraphCandidate::with_engine(seed_graph.clone(), engine, |flow| {
+    let mut candidate = GraphCandidate::new(seed_graph.clone(), |flow| {
         vec![tbi_scorer(flow, &tbi), degree_sequence_scorer(flow, &seq)]
     });
     let load_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -132,7 +107,6 @@ fn run_walk(
         final_energy: wpinq_mcmc::CandidateState::energy(&candidate),
         spawns: load_counters.spawns,
         dispatches: load_counters.dispatches,
-        exchanges: load_counters.exchanges,
     };
 
     // Workload 2: the edge-swap walk.
@@ -150,8 +124,7 @@ fn run_walk(
     let walk_counters = before.delta();
     let drift = candidate.scorer_drift();
     assert!(drift < 1e-6, "scorer drift {drift} on {executor}/{shards}");
-    // Steady state: the walk reuses the pool spawned at load time — zero thread spawns
-    // per swap, on every engine.
+    // The walk runs on the calling thread: zero thread spawns per swap.
     assert_eq!(
         walk_counters.spawns, 0,
         "{executor}/{shards} spawned {} threads during the walk",
@@ -167,9 +140,8 @@ fn run_walk(
         final_energy: wpinq_mcmc::CandidateState::energy(&candidate),
         spawns: walk_counters.spawns,
         dispatches: walk_counters.dispatches,
-        exchanges: walk_counters.exchanges,
     };
-    (load_row, swaps_row, candidate.graph().sorted_edges())
+    (load_row, swaps_row)
 }
 
 fn write_json(path: &str, mode: &str, steps: u64, rows: &[Row]) -> std::io::Result<()> {
@@ -190,7 +162,7 @@ fn write_json(path: &str, mode: &str, steps: u64, rows: &[Row]) -> std::io::Resu
             f,
             "    {{\"workload\": \"{}\", \"executor\": \"{}\", \"shards\": {}, \
              \"wall_ms\": {:.3}, \"steps_per_sec\": {:.3}, \"accepted\": {}, \
-             \"spawns\": {}, \"pool_dispatches\": {}, \"exchanges\": {}}}{}",
+             \"spawns\": {}, \"pool_dispatches\": {}}}{}",
             row.workload,
             row.executor,
             row.shards,
@@ -199,7 +171,6 @@ fn write_json(path: &str, mode: &str, steps: u64, rows: &[Row]) -> std::io::Resu
             row.accepted,
             row.spawns,
             row.dispatches,
-            row.exchanges,
             if i + 1 == rows.len() { "" } else { "," }
         )?;
     }
@@ -219,71 +190,33 @@ fn main() {
     };
     let seed_graph = smallsets::randomized(&secret, args.seed);
     heading(&format!(
-        "MCMC edge-swap throughput per incremental backend ({mode} GrQc stand-in: {} nodes, \
-         {} edges; {steps} steps)",
+        "MCMC edge-swap throughput ({mode} GrQc stand-in: {} nodes, {} edges; {steps} steps)",
         secret.num_nodes(),
         secret.num_edges()
     ));
 
-    let engines = [
-        IncrementalEngine::Sequential,
-        IncrementalEngine::Sharded(1),
-        IncrementalEngine::Sharded(2),
-        IncrementalEngine::Sharded(4),
-        IncrementalEngine::Sharded(8),
-    ];
-    /// The reference trajectory outcome every backend must reproduce bitwise:
-    /// `(final sorted edges, final energy, accepted swaps)`.
-    type Reference = (Vec<(u32, u32)>, f64, u64);
-    let mut rows: Vec<Row> = Vec::new();
-    let mut reference: Option<Reference> = None;
+    let (load_row, row) = run_walk(&secret, &seed_graph, steps, args.seed);
     let mut table = Table::new([
-        "backend",
-        "shards",
+        "engine",
         "load ms",
         "walk ms",
         "steps/s",
         "accepted",
         "walk spawns",
-        "walk exchanges",
         "final energy",
     ]);
-    for engine in engines {
-        let (load_row, row, final_edges) = run_walk(&secret, &seed_graph, engine, steps, args.seed);
-        match &reference {
-            None => reference = Some((final_edges, row.final_energy, row.accepted)),
-            Some((ref_edges, ref_energy, ref_accepted)) => {
-                assert_eq!(
-                    &final_edges, ref_edges,
-                    "{}/{} walked a different trajectory",
-                    row.executor, row.shards
-                );
-                assert_eq!(
-                    row.final_energy.to_bits(),
-                    ref_energy.to_bits(),
-                    "{}/{} final energy diverged",
-                    row.executor,
-                    row.shards
-                );
-                assert_eq!(row.accepted, *ref_accepted);
-            }
-        }
-        table.row([
-            row.executor.to_string(),
-            row.shards.to_string(),
-            fmt_f(load_row.wall_ms, 1),
-            fmt_f(row.wall_ms, 1),
-            fmt_f(row.steps_per_sec, 0),
-            row.accepted.to_string(),
-            row.spawns.to_string(),
-            row.exchanges.to_string(),
-            format!("{:.6}", row.final_energy),
-        ]);
-        rows.push(load_row);
-        rows.push(row);
-    }
+    table.row([
+        row.executor.to_string(),
+        fmt_f(load_row.wall_ms, 1),
+        fmt_f(row.wall_ms, 1),
+        fmt_f(row.steps_per_sec, 0),
+        row.accepted.to_string(),
+        row.spawns.to_string(),
+        format!("{:.6}", row.final_energy),
+    ]);
     table.print();
     println!();
+    let rows = [load_row, row];
 
     let path = args.out.as_deref().unwrap_or("BENCH_mcmc.json");
     match write_json(path, mode, steps, &rows) {
@@ -293,6 +226,5 @@ fn main() {
             std::process::exit(1);
         }
     }
-    println!("All backends walked the identical seeded trajectory (bitwise energies; asserted).");
-    println!("Zero threads were spawned during every walk (steady-state pool reuse; asserted).");
+    println!("Zero threads were spawned during the walk (asserted).");
 }

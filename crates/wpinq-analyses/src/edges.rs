@@ -9,8 +9,8 @@
 //! SbD 12ε, TbI 4ε).
 
 use wpinq::budget::BudgetHandle;
-use wpinq::dataflow::{ShardedStream, Stream};
-use wpinq::plan::{Plan, PlanBindings, ShardedStreamBindings, StreamBindings};
+use wpinq::dataflow::Stream;
+use wpinq::plan::{Plan, PlanBindings, StreamBindings};
 use wpinq::{Expr, PrivacyBudget, ProtectedDataset, Queryable, WeightedDataset};
 use wpinq_graph::Graph;
 
@@ -99,29 +99,7 @@ impl EdgeSource {
     /// Stream bindings mapping this source to a candidate's edge delta stream.
     pub fn bind_stream(&self, stream: Stream<Edge>) -> StreamBindings {
         let mut bindings = StreamBindings::new();
-        bindings.bind(&self.source, stream.clone());
-        bindings
-    }
-
-    /// Sharded-stream bindings mapping this source to a candidate's hash-partitioned
-    /// edge delta stream (the sharded incremental engine).
-    pub fn bind_sharded_stream(&self, stream: ShardedStream<Edge>) -> ShardedStreamBindings {
-        let mut bindings = ShardedStreamBindings::new(stream.num_shards());
         bindings.bind(&self.source, stream);
-        bindings
-    }
-
-    /// [`bind_sharded_stream`](Self::bind_sharded_stream) plus the expected number of
-    /// directed edge records the stream will carry (e.g. 2·|E| of a candidate graph).
-    /// The lowering calibrates each operator's inline/parallel cutover from this hint;
-    /// it never affects results.
-    pub fn bind_sharded_stream_sized(
-        &self,
-        stream: ShardedStream<Edge>,
-        expected_edges: usize,
-    ) -> ShardedStreamBindings {
-        let mut bindings = ShardedStreamBindings::new(stream.num_shards());
-        bindings.bind_with_size(&self.source, stream, expected_edges);
         bindings
     }
 }

@@ -39,7 +39,7 @@ pub fn canonical_norm<I: IntoIterator<Item = f64>>(weights: I) -> f64 {
 /// The contribution list of one record: almost all records receive exactly one
 /// contribution, so the single-element case avoids a heap allocation.
 ///
-/// Public so callers that keep their own record maps (e.g. the incremental engines'
+/// Public so callers that keep their own record maps (e.g. the incremental engine's
 /// delta consolidation) can resolve per-record totals in the same canonical order as
 /// [`Contributions`].
 #[derive(Debug, Clone)]

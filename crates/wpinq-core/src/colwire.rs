@@ -8,8 +8,8 @@
 //!
 //! The format is **exact**: weights travel as IEEE-754 bit patterns and integer leaves as
 //! their in-memory width, so `decode_batch(encode_batch(b)) == b` bit-for-bit — which is
-//! what lets the sharded exchange path and the service's `"encoding":"columnar"` response
-//! mode ship frames without perturbing the release-bitwise-identity guarantees.
+//! what lets the service's `"encoding":"columnar"` response mode ship frames without
+//! perturbing the release-bitwise-identity guarantees.
 //!
 //! ## Frame layout (version 1)
 //!

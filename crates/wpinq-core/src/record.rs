@@ -8,7 +8,7 @@ use std::hash::Hash;
 /// A record must be cheaply clonable, hashable (datasets are weight maps keyed by record),
 /// totally ordered (the `GroupBy` operator sorts records inside a group, and deterministic
 /// iteration orders make experiments reproducible), debuggable, and thread-safe (the
-/// sharded batch executor moves record shards across `std::thread::scope` workers).
+/// sharded batch executor moves record shards across worker-pool threads).
 ///
 /// The trait is blanket-implemented; you never implement it by hand.
 pub trait Record: Clone + Eq + Hash + Ord + Debug + Send + Sync + 'static {}

@@ -15,22 +15,15 @@
 //!   *key* hash so each worker sees every record of its keys, then outputs are routed by
 //!   output-record hash.
 //!
-//! Two worker strategies exist behind the same `map_shards`-shaped API, selected by
-//! [`ShardRunner`]:
+//! Shards run on a [`WorkerPool`]: N long-lived workers, each owning its shard index,
+//! fed lifetime-erased closures over `std::sync::mpsc` channels with results returned on
+//! per-call reply channels, so steady-state dispatch spawns **zero** threads.
 //!
-//! * **Scoped** ([`map_shards`]) spawns fresh `std::thread::scope` workers per call — the
-//!   original strategy, kept as the reference implementation.
-//! * **Pooled** ([`WorkerPool`]) keeps N long-lived workers, each owning its shard index,
-//!   fed lifetime-erased closures over `std::sync::mpsc` channels with results returned on
-//!   per-call reply channels. Steady-state dispatch spawns **zero** threads, which is what
-//!   makes sharding profitable for the tiny delta batches of the MCMC walk.
-//!
-//! Both strategies run the identical per-shard computation in the identical shard order,
-//! so outputs are bitwise interchangeable. Where contributions from different shards can
+//! Where contributions from different shards can
 //! collide on one output record (`Select`, `SelectMany`, `Join`), they are resolved
 //! through the canonical accumulation order of [`crate::accumulate`], and the sequential
 //! kernels use the same canonicalisation — so a sharded evaluation is **bitwise
-//! identical** to a sequential one, for every shard count and either runner. This is
+//! identical** to a sequential one, for every shard count. This is
 //! checked operator-by-operator by the tests below and end-to-end by the plan property
 //! tests in the `wpinq` crate.
 
@@ -139,9 +132,8 @@ impl<T: Record> ShardedDataset<T> {
 // ---------------------------------------------------------------------------------------
 
 /// Registry name of the counter of OS threads spawned by this module, cumulative over
-/// the process (scoped workers and pool construction both count; pool *dispatches* do
-/// not). The MCMC bench snapshots this series to prove the pooled engine spawns zero
-/// threads per step in steady state: read it with
+/// the process (pool construction counts; pool *dispatches* do not). Benches snapshot
+/// this series to prove steady-state evaluation spawns zero threads: read it with
 /// `wpinq_telemetry::registry().counter_value(THREADS_SPAWNED_METRIC)`.
 pub const THREADS_SPAWNED_METRIC: &str = "wpinq_threads_spawned_total";
 
@@ -155,7 +147,7 @@ fn threads_spawned_counter() -> &'static Arc<Counter> {
         registry().counter(
             THREADS_SPAWNED_METRIC,
             &[],
-            "OS threads spawned by shard workers (scoped per-call spawns plus pool construction)",
+            "OS threads spawned by shard worker pools",
         )
     })
 }
@@ -169,40 +161,6 @@ fn pool_dispatches_counter() -> &'static Arc<Counter> {
             "Multi-shard batches dispatched onto worker pools",
         )
     })
-}
-
-/// Runs `f(shard_index, input)` for every input on scoped worker threads, returning the
-/// results in shard order. Single-shard calls run inline to skip the spawn cost.
-///
-/// This is the reference strategy: it spawns `inputs.len()` fresh OS threads on every
-/// call. Steady-state workloads should prefer a [`WorkerPool`] (via [`ShardRunner`]),
-/// which is bitwise interchangeable.
-///
-/// Public because the sharded *incremental* engine in `wpinq-dataflow` drives its
-/// per-operator delta kernels through the same worker scaffolding.
-pub fn map_shards<I: Send, R: Send>(inputs: Vec<I>, f: impl Fn(usize, I) -> R + Sync) -> Vec<R> {
-    if inputs.len() == 1 {
-        let input = inputs.into_iter().next().expect("one input");
-        return vec![f(0, input)];
-    }
-    threads_spawned_counter().add(inputs.len() as u64);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = inputs
-            .into_iter()
-            .enumerate()
-            .map(|(index, input)| scope.spawn(move || f(index, input)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("shard worker panicked"))
-            .collect()
-    })
-}
-
-/// Runs `f(shard_index)` for `0..n` on scoped worker threads.
-pub fn for_each_shard<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    map_shards((0..n).collect::<Vec<_>>(), |_, index| f(index))
 }
 
 /// A work item shipped to a pool worker. Jobs constructed by [`WorkerPool::map`] catch
@@ -259,8 +217,8 @@ impl WorkerPool {
     /// The process-wide shared pool for a given worker count, created on first use.
     ///
     /// Pools live for the rest of the process (like a global thread pool), so every
-    /// executor, dataflow graph and MCMC trajectory asking for the same shard count
-    /// shares one set of workers and the spawn count stays flat after warm-up.
+    /// executor asking for the same shard count shares one set of workers and the
+    /// spawn count stays flat after warm-up.
     pub fn shared(workers: usize) -> Arc<WorkerPool> {
         static SHARED: OnceLock<Mutex<HashMap<usize, Arc<WorkerPool>>>> = OnceLock::new();
         let workers = workers.max(1);
@@ -272,7 +230,7 @@ impl WorkerPool {
             .clone()
     }
 
-    /// Pool twin of [`map_shards`]: runs `f(shard_index, input)` for every input on the
+    /// Runs `f(shard_index, input)` for every input on the
     /// pool's workers (batch `k` on worker `k % workers`), returning results in shard
     /// order. Single-input calls run inline, bitwise-identically and without touching
     /// the channels.
@@ -341,7 +299,7 @@ impl WorkerPool {
             .collect()
     }
 
-    /// Pool twin of [`for_each_shard`].
+    /// Runs `f(shard_index)` for `0..n` on the pool's workers.
     pub fn for_each<R: Send>(&self, n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
         self.map((0..n).collect::<Vec<_>>(), |_, index| f(index))
     }
@@ -365,48 +323,6 @@ impl std::fmt::Debug for WorkerPool {
     }
 }
 
-/// The worker strategy a sharded batch kernel runs on.
-///
-/// Both strategies execute the identical per-shard computation in the identical shard
-/// order, so their outputs are bitwise identical; the choice is purely about spawn cost.
-#[derive(Clone, Copy)]
-pub enum ShardRunner<'p> {
-    /// Fresh `std::thread::scope` workers per call ([`map_shards`]).
-    Scoped,
-    /// Long-lived workers from a [`WorkerPool`].
-    Pooled(&'p WorkerPool),
-}
-
-impl ShardRunner<'_> {
-    /// Runs `f(shard_index, input)` for every input on this strategy's workers.
-    pub fn map<I: Send, R: Send>(
-        &self,
-        inputs: Vec<I>,
-        f: impl Fn(usize, I) -> R + Sync,
-    ) -> Vec<R> {
-        match self {
-            ShardRunner::Scoped => map_shards(inputs, f),
-            ShardRunner::Pooled(pool) => pool.map(inputs, f),
-        }
-    }
-
-    /// Runs `f(shard_index)` for `0..n` on this strategy's workers.
-    pub fn for_each<R: Send>(&self, n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-        self.map((0..n).collect::<Vec<_>>(), |_, index| f(index))
-    }
-}
-
-impl std::fmt::Debug for ShardRunner<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardRunner::Scoped => write!(f, "ShardRunner::Scoped"),
-            ShardRunner::Pooled(pool) => {
-                write!(f, "ShardRunner::Pooled({} workers)", pool.workers())
-            }
-        }
-    }
-}
-
 /// Routing buffers produced by one worker: one `(record, weight)` bucket per destination.
 type Routed<T> = Vec<Vec<(T, f64)>>;
 
@@ -417,7 +333,7 @@ fn empty_routes<T>(n: usize) -> Routed<T> {
 /// Transposes per-producer routing buffers and canonically accumulates each destination
 /// shard in parallel. Collisions between contributions (same output record reached from
 /// several producers, or several times from one) are resolved in canonical order.
-fn exchange<U: Record>(routed: Vec<Routed<U>>, runner: ShardRunner<'_>) -> ShardedDataset<U> {
+fn exchange<U: Record>(routed: Vec<Routed<U>>, pool: &WorkerPool) -> ShardedDataset<U> {
     let n = routed.first().map(Vec::len).expect("at least one producer");
     let mut by_dest: Vec<Vec<Vec<(U, f64)>>> = (0..n).map(|_| Vec::new()).collect();
     for producer in routed {
@@ -426,7 +342,7 @@ fn exchange<U: Record>(routed: Vec<Routed<U>>, runner: ShardRunner<'_>) -> Shard
             by_dest[dest].push(bucket);
         }
     }
-    let shards = runner.map(by_dest, |_, buckets| {
+    let shards = pool.map(by_dest, |_, buckets| {
         let mut acc = Contributions::new();
         for bucket in buckets {
             for (record, weight) in bucket {
@@ -452,18 +368,14 @@ fn route_dataset<U: Record>(data: WeightedDataset<U>, n: usize) -> Routed<U> {
 // ---------------------------------------------------------------------------------------
 
 /// Shard-parallel `Select` (see [`batch::select`]).
-pub fn select<T, U, F>(
-    data: &ShardedDataset<T>,
-    f: &F,
-    runner: ShardRunner<'_>,
-) -> ShardedDataset<U>
+pub fn select<T, U, F>(data: &ShardedDataset<T>, f: &F, pool: &WorkerPool) -> ShardedDataset<U>
 where
     T: Record,
     U: Record,
     F: Fn(&T) -> U + Sync + ?Sized,
 {
     let n = data.num_shards();
-    let routed = runner.for_each(n, |index| {
+    let routed = pool.for_each(n, |index| {
         let mut routes = empty_routes(n);
         for (record, weight) in data.shards[index].iter() {
             let out = f(record);
@@ -471,39 +383,31 @@ where
         }
         routes
     });
-    exchange(routed, runner)
+    exchange(routed, pool)
 }
 
 /// Shard-parallel `Where` (see [`batch::filter`]); record identity is preserved, so the
 /// partitioning survives and no exchange happens.
-pub fn filter<T, P>(
-    data: &ShardedDataset<T>,
-    predicate: &P,
-    runner: ShardRunner<'_>,
-) -> ShardedDataset<T>
+pub fn filter<T, P>(data: &ShardedDataset<T>, predicate: &P, pool: &WorkerPool) -> ShardedDataset<T>
 where
     T: Record,
     P: Fn(&T) -> bool + Sync + ?Sized,
 {
-    let shards = runner.for_each(data.num_shards(), |index| {
+    let shards = pool.for_each(data.num_shards(), |index| {
         batch::filter(&data.shards[index], predicate)
     });
     ShardedDataset::from_shards(shards)
 }
 
 /// Shard-parallel `SelectMany` (see [`batch::select_many`]).
-pub fn select_many<T, U, F>(
-    data: &ShardedDataset<T>,
-    f: &F,
-    runner: ShardRunner<'_>,
-) -> ShardedDataset<U>
+pub fn select_many<T, U, F>(data: &ShardedDataset<T>, f: &F, pool: &WorkerPool) -> ShardedDataset<U>
 where
     T: Record,
     U: Record,
     F: Fn(&T) -> WeightedDataset<U> + Sync + ?Sized,
 {
     let n = data.num_shards();
-    let routed = runner.for_each(n, |index| {
+    let routed = pool.for_each(n, |index| {
         let mut routes = empty_routes(n);
         for (record, weight) in data.shards[index].iter() {
             let produced = f(record);
@@ -518,7 +422,7 @@ where
         }
         routes
     });
-    exchange(routed, runner)
+    exchange(routed, pool)
 }
 
 /// Shard-parallel `Shave` (see [`batch::shave`]). Outputs `(record, index)` are unique per
@@ -526,7 +430,7 @@ where
 pub fn shave<T, F, I>(
     data: &ShardedDataset<T>,
     schedule: &F,
-    runner: ShardRunner<'_>,
+    pool: &WorkerPool,
 ) -> ShardedDataset<(T, u64)>
 where
     T: Record,
@@ -534,10 +438,10 @@ where
     I: IntoIterator<Item = f64>,
 {
     let n = data.num_shards();
-    let routed = runner.for_each(n, |index| {
+    let routed = pool.for_each(n, |index| {
         route_dataset(batch::shave(&data.shards[index], schedule), n)
     });
-    exchange(routed, runner)
+    exchange(routed, pool)
 }
 
 /// Shard-parallel `GroupBy` (see [`batch::group_by`]): records are exchanged by **key**
@@ -547,7 +451,7 @@ pub fn group_by<T, K, R, KF, RF>(
     data: &ShardedDataset<T>,
     key: &KF,
     reduce: &RF,
-    runner: ShardRunner<'_>,
+    pool: &WorkerPool,
 ) -> ShardedDataset<(K, R)>
 where
     T: Record,
@@ -559,7 +463,7 @@ where
     let n = data.num_shards();
     // Exchange inputs by key hash (each record moves with its exact weight; records are
     // globally unique, so no accumulation happens).
-    let routed = runner.for_each(n, |index| {
+    let routed = pool.for_each(n, |index| {
         let mut routes = empty_routes(n);
         for (record, weight) in data.shards[index].iter() {
             routes[shard_of(&key(record), n)].push((record.clone(), weight));
@@ -573,11 +477,11 @@ where
         }
     }
     // Each worker reduces its complete key groups, then routes outputs by record hash.
-    let produced = runner.map(by_dest, |_, records| {
+    let produced = pool.map(by_dest, |_, records| {
         let part = WeightedDataset::from_pairs(records);
         route_dataset(batch::group_by(&part, key, reduce), n)
     });
-    exchange(produced, runner)
+    exchange(produced, pool)
 }
 
 /// Shard-parallel weight-rescaling `Join` (see [`batch::join`]): both inputs are exchanged
@@ -589,7 +493,7 @@ pub fn join<A, B, K, R, KA, KB, RF>(
     key_a: &KA,
     key_b: &KB,
     result: &RF,
-    runner: ShardRunner<'_>,
+    pool: &WorkerPool,
 ) -> ShardedDataset<R>
 where
     A: Record,
@@ -611,13 +515,13 @@ where
         data: &ShardedDataset<T>,
         key: &KF,
         n: usize,
-        runner: ShardRunner<'_>,
+        pool: &WorkerPool,
     ) -> Vec<Vec<(T, f64)>>
     where
         KF: Fn(&T) -> K + Sync + ?Sized,
         K: Hash,
     {
-        let routed = runner.for_each(n, |index| {
+        let routed = pool.for_each(n, |index| {
             let mut routes = empty_routes(n);
             for (record, weight) in data.shards[index].iter() {
                 routes[shard_of(&key(record), n)].push((record.clone(), weight));
@@ -633,10 +537,10 @@ where
         by_dest
     }
 
-    let a_by_key = route_by_key(a, key_a, n, runner);
-    let b_by_key = route_by_key(b, key_b, n, runner);
+    let a_by_key = route_by_key(a, key_a, n, pool);
+    let b_by_key = route_by_key(b, key_b, n, pool);
 
-    let produced = runner.map(
+    let produced = pool.map(
         a_by_key.into_iter().zip(b_by_key).collect::<Vec<_>>(),
         |_, (recs_a, recs_b)| {
             // Each worker owns complete key groups; the asymmetric build-small/probe-large
@@ -683,57 +587,57 @@ where
             routes
         },
     );
-    exchange(produced, runner)
+    exchange(produced, pool)
 }
 
 /// Shard-parallel element-wise `Union` (co-sharded inputs, shard-local, no exchange).
 pub fn union<T: Record>(
     a: &ShardedDataset<T>,
     b: &ShardedDataset<T>,
-    runner: ShardRunner<'_>,
+    pool: &WorkerPool,
 ) -> ShardedDataset<T> {
-    binary(a, b, batch::union, runner)
+    binary(a, b, batch::union, pool)
 }
 
 /// Shard-parallel element-wise `Intersect` (co-sharded inputs, shard-local, no exchange).
 pub fn intersect<T: Record>(
     a: &ShardedDataset<T>,
     b: &ShardedDataset<T>,
-    runner: ShardRunner<'_>,
+    pool: &WorkerPool,
 ) -> ShardedDataset<T> {
-    binary(a, b, batch::intersect, runner)
+    binary(a, b, batch::intersect, pool)
 }
 
 /// Shard-parallel element-wise `Concat` (co-sharded inputs, shard-local, no exchange).
 pub fn concat<T: Record>(
     a: &ShardedDataset<T>,
     b: &ShardedDataset<T>,
-    runner: ShardRunner<'_>,
+    pool: &WorkerPool,
 ) -> ShardedDataset<T> {
-    binary(a, b, batch::concat, runner)
+    binary(a, b, batch::concat, pool)
 }
 
 /// Shard-parallel element-wise `Except` (co-sharded inputs, shard-local, no exchange).
 pub fn except<T: Record>(
     a: &ShardedDataset<T>,
     b: &ShardedDataset<T>,
-    runner: ShardRunner<'_>,
+    pool: &WorkerPool,
 ) -> ShardedDataset<T> {
-    binary(a, b, batch::except, runner)
+    binary(a, b, batch::except, pool)
 }
 
 fn binary<T: Record>(
     a: &ShardedDataset<T>,
     b: &ShardedDataset<T>,
     op: impl Fn(&WeightedDataset<T>, &WeightedDataset<T>) -> WeightedDataset<T> + Sync,
-    runner: ShardRunner<'_>,
+    pool: &WorkerPool,
 ) -> ShardedDataset<T> {
     assert_eq!(
         a.num_shards(),
         b.num_shards(),
         "element-wise operators require co-sharded inputs (same shard count)"
     );
-    let shards = runner.for_each(a.num_shards(), |index| {
+    let shards = pool.for_each(a.num_shards(), |index| {
         op(&a.shards[index], &b.shards[index])
     });
     ShardedDataset::from_shards(shards)
@@ -762,13 +666,10 @@ mod tests {
         }
     }
 
-    /// Runs `check` under both worker strategies for shard counts {1, 2, 8}.
-    fn for_all_runners(check: impl Fn(usize, ShardRunner<'_>)) {
+    /// Runs `check` on the shared pool for shard counts {1, 2, 8}.
+    fn for_all_pools(check: impl Fn(usize, &WorkerPool)) {
         for n in [1usize, 2, 8] {
-            let pool = WorkerPool::shared(n);
-            for runner in [ShardRunner::Scoped, ShardRunner::Pooled(&pool)] {
-                check(n, runner);
-            }
+            check(n, &WorkerPool::shared(n));
         }
     }
 
@@ -801,8 +702,8 @@ mod tests {
         // Deliberately collapse many records onto few outputs to force collisions.
         let f = |r: &(u32, u32)| r.0 % 5;
         let sequential = batch::select(&data, f);
-        for_all_runners(|n, runner| {
-            let sharded = select(&ShardedDataset::partition(&data, n), &f, runner);
+        for_all_pools(|n, pool| {
+            let sharded = select(&ShardedDataset::partition(&data, n), &f, pool);
             assert_bitwise_eq(&sharded, &sequential);
         });
     }
@@ -812,8 +713,8 @@ mod tests {
         let data = sample();
         let p = |r: &(u32, u32)| !(r.0 + r.1).is_multiple_of(3);
         let sequential = batch::filter(&data, p);
-        for_all_runners(|n, runner| {
-            let sharded = filter(&ShardedDataset::partition(&data, n), &p, runner);
+        for_all_pools(|n, pool| {
+            let sharded = filter(&ShardedDataset::partition(&data, n), &p, pool);
             assert_bitwise_eq(&sharded, &sequential);
         });
     }
@@ -824,8 +725,8 @@ mod tests {
         let f =
             |r: &(u32, u32)| WeightedDataset::from_records((0..(r.0 % 4)).map(|k| (r.0 + k) % 9));
         let sequential = batch::select_many(&data, f);
-        for_all_runners(|n, runner| {
-            let sharded = select_many(&ShardedDataset::partition(&data, n), &f, runner);
+        for_all_pools(|n, pool| {
+            let sharded = select_many(&ShardedDataset::partition(&data, n), &f, pool);
             assert_bitwise_eq(&sharded, &sequential);
         });
     }
@@ -835,8 +736,8 @@ mod tests {
         let data = sample();
         let schedule = |_: &(u32, u32)| std::iter::repeat(0.4);
         let sequential = batch::shave(&data, schedule);
-        for_all_runners(|n, runner| {
-            let sharded = shave(&ShardedDataset::partition(&data, n), &schedule, runner);
+        for_all_pools(|n, pool| {
+            let sharded = shave(&ShardedDataset::partition(&data, n), &schedule, pool);
             assert_bitwise_eq(&sharded, &sequential);
         });
     }
@@ -847,8 +748,8 @@ mod tests {
         let key = |r: &(u32, u32)| r.0 % 6;
         let reduce = |group: &[(u32, u32)]| group.len() as u64;
         let sequential = batch::group_by(&data, key, reduce);
-        for_all_runners(|n, runner| {
-            let sharded = group_by(&ShardedDataset::partition(&data, n), &key, &reduce, runner);
+        for_all_pools(|n, pool| {
+            let sharded = group_by(&ShardedDataset::partition(&data, n), &key, &reduce, pool);
             assert_bitwise_eq(&sharded, &sequential);
         });
     }
@@ -861,9 +762,9 @@ mod tests {
         // Collapse outputs so contributions collide across keys.
         let res = |x: &(u32, u32), y: &(u32, u32)| (x.1 % 3, y.1 % 3);
         let sequential = batch::join(&data, &data, ka, kb, res);
-        for_all_runners(|n, runner| {
+        for_all_pools(|n, pool| {
             let sharded_data = ShardedDataset::partition(&data, n);
-            let sharded = join(&sharded_data, &sharded_data, &ka, &kb, &res, runner);
+            let sharded = join(&sharded_data, &sharded_data, &ka, &kb, &res, pool);
             assert_bitwise_eq(&sharded, &sequential);
         });
     }
@@ -872,13 +773,13 @@ mod tests {
     fn set_operators_match_sequential_bitwise() {
         let a = sample();
         let b = batch::select(&a, |r: &(u32, u32)| ((r.0 + 1) % 13, r.1));
-        for_all_runners(|n, runner| {
+        for_all_pools(|n, pool| {
             let sa = ShardedDataset::partition(&a, n);
             let sb = ShardedDataset::partition(&b, n);
-            assert_bitwise_eq(&union(&sa, &sb, runner), &batch::union(&a, &b));
-            assert_bitwise_eq(&intersect(&sa, &sb, runner), &batch::intersect(&a, &b));
-            assert_bitwise_eq(&concat(&sa, &sb, runner), &batch::concat(&a, &b));
-            assert_bitwise_eq(&except(&sa, &sb, runner), &batch::except(&a, &b));
+            assert_bitwise_eq(&union(&sa, &sb, pool), &batch::union(&a, &b));
+            assert_bitwise_eq(&intersect(&sa, &sb, pool), &batch::intersect(&a, &b));
+            assert_bitwise_eq(&concat(&sa, &sb, pool), &batch::concat(&a, &b));
+            assert_bitwise_eq(&except(&sa, &sb, pool), &batch::except(&a, &b));
         });
     }
 
@@ -887,13 +788,13 @@ mod tests {
     // -----------------------------------------------------------------------------------
 
     #[test]
-    fn pool_map_matches_scoped_map_including_oversubscription() {
+    fn pool_map_matches_sequential_map_including_oversubscription() {
         let pool = WorkerPool::new(2);
         for len in [0usize, 1, 2, 3, 8, 17] {
             let inputs: Vec<u64> = (0..len as u64).collect();
-            let scoped = map_shards(inputs.clone(), |i, x| (i as u64) * 1000 + x * 3);
+            let sequential: Vec<u64> = inputs.iter().map(|&x| x * 1000 + x * 3).collect();
             let pooled = pool.map(inputs, |i, x| (i as u64) * 1000 + x * 3);
-            assert_eq!(scoped, pooled, "length {len}");
+            assert_eq!(sequential, pooled, "length {len}");
         }
     }
 
@@ -959,7 +860,7 @@ mod tests {
     }
 
     #[test]
-    fn runner_kernels_share_one_pool_across_calls() {
+    fn kernels_share_one_pool_across_calls() {
         let data = sample();
         let pool = WorkerPool::shared(8);
         let spawned_after_warmup = {
@@ -969,14 +870,14 @@ mod tests {
             let _ = filter(
                 &ShardedDataset::partition(&data, 8),
                 &|_: &(u32, u32)| true,
-                ShardRunner::Pooled(&pool),
+                &pool,
             );
             registry().counter_value(POOL_DISPATCHES_METRIC)
         };
         let _ = select(
             &ShardedDataset::partition(&data, 8),
             &|r: &(u32, u32)| r.0,
-            ShardRunner::Pooled(&pool),
+            &pool,
         );
         assert!(
             registry().counter_value(POOL_DISPATCHES_METRIC) > spawned_after_warmup,

@@ -14,9 +14,8 @@ pub type Delta<T> = (T, f64);
 ///
 /// Colliding deltas are summed in the **canonical** order of
 /// [`wpinq_core::accumulate`], so the merged totals depend only on the multiset of
-/// contributions — never on the order they were listed in. This is what lets the sharded
-/// incremental engine (which collects the same contributions bucket-by-bucket) propagate
-/// delta batches bitwise identical to the sequential [`Stream`](crate::Stream) graph.
+/// contributions — never on the order they were listed in, so incremental deltas stay
+/// bitwise equal to the batch kernels, which resolve the same way.
 pub fn consolidate<T: Record>(deltas: Vec<Delta<T>>) -> Vec<Delta<T>> {
     let mut order: Vec<T> = Vec::with_capacity(deltas.len());
     let mut acc: FxHashMap<T, Contribution> =

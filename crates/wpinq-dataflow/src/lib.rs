@@ -20,16 +20,6 @@
 //!   operators into a DAG mirroring a wPINQ query, with [`CollectedOutput`] sinks and
 //!   [`L1Scorer`] sinks that maintain `‖Q(A) − m‖₁` incrementally (the quantity the MCMC
 //!   acceptance test needs).
-//! * [`sharded`] — the hash-partitioned parallel twin of [`stream`]: [`ShardedStream`]
-//!   carries delta batches partitioned by record hash, stateful operators shard their
-//!   state by key hash and update affected keys (with the same per-key operators) on
-//!   the long-lived [`wpinq_core::shard::WorkerPool`] (channel-fed workers; zero thread
-//!   spawns in steady state), and deltas are exchanged only at `GroupBy`/`Join` boundaries. Batches below
-//!   a per-operator cutover ([`sharded::DEFAULT_INLINE_CUTOVER`], calibrated by the plan
-//!   lowering, overridable via [`sharded::INLINE_CUTOVER_ENV`]) run inline. Propagation
-//!   is **bitwise identical** to the sequential graph (canonical consolidation at every
-//!   exchange, canonical `L1Scorer` batch merges), so the MCMC walk can switch engines
-//!   freely.
 //!
 //! Correctness contract: pushing any sequence of deltas through a dataflow leaves every
 //! sink equal to the corresponding *batch* operator applied to the accumulated input. The
@@ -48,14 +38,14 @@
 pub mod delta;
 pub mod operators;
 pub mod scorer;
-pub mod sharded;
 pub mod stream;
 
 pub use delta::{consolidate, diff_datasets, Delta};
 pub use operators::JOIN_PAIRS_METRIC;
 pub use scorer::L1Scorer;
-pub use sharded::{
-    ShardedDeltas, ShardedInput, ShardedStream, DEFAULT_INLINE_CUTOVER, EXCHANGES_METRIC,
-    EXCHANGE_COLWIRE_BYTES_METRIC, EXCHANGE_COLWIRE_ROWS_METRIC, INLINE_CUTOVER_ENV,
-};
 pub use stream::{CollectedOutput, DataflowInput, ScorerHandle, Stream};
+
+/// Registry name of the process-wide counter of dataflow delta exchanges. The engine is
+/// one single-threaded graph and exchanges nothing, so the series stays at 0; the name
+/// is kept for readers that report it.
+pub const EXCHANGES_METRIC: &str = "wpinq_exchanges_total";

@@ -69,21 +69,10 @@ where
 }
 
 /// Incremental `SelectMany`: the operator is linear in the input weight, so each delta is
-/// expanded through the (normalised) production of its record.
-pub fn inc_select_many<T, U, F>(f: &F, deltas: &[Delta<T>]) -> Vec<Delta<U>>
-where
-    T: Record,
-    U: Record,
-    F: Fn(&T) -> WeightedDataset<U>,
-{
-    consolidate(inc_select_many_raw(f, deltas))
-}
-
-/// [`inc_select_many`] without the final consolidation — the single home of the paper's
+/// expanded through the (normalised) production of its record — the paper's
 /// data-dependent normalisation rule (`scale = weight / max(‖production‖, 1)`; empty
-/// productions contribute nothing). The sharded engine routes these raw contributions
-/// and consolidates once at the destination shard, so the rule is never duplicated.
-pub fn inc_select_many_raw<T, U, F>(f: &F, deltas: &[Delta<T>]) -> Vec<Delta<U>>
+/// productions contribute nothing).
+pub fn inc_select_many<T, U, F>(f: &F, deltas: &[Delta<T>]) -> Vec<Delta<U>>
 where
     T: Record,
     U: Record,
@@ -101,7 +90,7 @@ where
             out.push((u.clone(), w * scale));
         }
     }
-    out
+    consolidate(out)
 }
 
 /// Incremental `SelectMany` where each produced record has unit weight.
@@ -329,10 +318,8 @@ where
     }
 
     /// [`push_left`](Self::push_left) without the final consolidation: the returned
-    /// contributions may repeat records (collisions across keys). The sharded engine
-    /// uses this so contributions from every key shard are consolidated exactly *once*
-    /// at their destination, in the same canonical pass the sequential operator runs.
-    pub fn push_left_raw(&mut self, deltas: &[Delta<A>]) -> Vec<Delta<R>> {
+    /// contributions may repeat records (collisions across keys).
+    fn push_left_raw(&mut self, deltas: &[Delta<A>]) -> Vec<Delta<R>> {
         let mut out = Vec::new();
         for (key, key_deltas) in group_by_key(deltas, &self.key_left) {
             let part = self.left.entry(key.clone()).or_default();
@@ -360,7 +347,7 @@ where
 
     /// [`push_right`](Self::push_right) without the final consolidation (see
     /// [`push_left_raw`](Self::push_left_raw)).
-    pub fn push_right_raw(&mut self, deltas: &[Delta<B>]) -> Vec<Delta<R>> {
+    fn push_right_raw(&mut self, deltas: &[Delta<B>]) -> Vec<Delta<R>> {
         let mut out = Vec::new();
         let result = &self.result;
         for (key, key_deltas) in group_by_key(deltas, &self.key_right) {
@@ -486,13 +473,6 @@ where
 
     /// Feeds deltas into the grouped input, returning the induced output deltas.
     pub fn push(&mut self, deltas: &[Delta<T>]) -> Vec<Delta<(K, R)>> {
-        consolidate(self.push_raw(deltas))
-    }
-
-    /// [`push`](Self::push) without the final consolidation: contributions may repeat
-    /// records (collisions across keys); the sharded engine consolidates them once at
-    /// their destination shard.
-    pub fn push_raw(&mut self, deltas: &[Delta<T>]) -> Vec<Delta<(K, R)>> {
         let mut out = Vec::new();
         for (key, key_deltas) in group_by_key(deltas, &self.key) {
             let before = self.recompute_key(&key);
@@ -506,7 +486,7 @@ where
             let after = self.recompute_key(&key);
             out.extend(diff_datasets(&after, &before));
         }
-        out
+        consolidate(out)
     }
 
     /// Number of groups currently indexed.
@@ -551,13 +531,6 @@ where
 
     /// Feeds deltas into the shaved input, returning the induced output deltas.
     pub fn push(&mut self, deltas: &[Delta<T>]) -> Vec<Delta<(T, u64)>> {
-        consolidate(self.push_raw(deltas))
-    }
-
-    /// [`push`](Self::push) without the final consolidation (outputs `(record, index)`
-    /// are unique per input record, so the values are already final; the sharded engine
-    /// consolidates once at the destination shard).
-    pub fn push_raw(&mut self, deltas: &[Delta<T>]) -> Vec<Delta<(T, u64)>> {
         let mut out = Vec::new();
         for (record, weight) in consolidate(deltas.to_vec()) {
             let old_weight = self.current.weight(&record);
@@ -566,7 +539,7 @@ where
             let after = self.slice_record(&record, self.current.weight(&record));
             out.extend(diff_datasets(&after, &before));
         }
-        out
+        consolidate(out)
     }
 }
 

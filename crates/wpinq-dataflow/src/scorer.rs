@@ -58,9 +58,6 @@ impl<T: Record> L1Scorer<T> {
     /// The batch is consolidated first and the per-record distance changes are summed in
     /// canonical order, so the maintained distance after a push depends only on the
     /// *multiset* of `(record, change)` pairs in the batch — never on their listed order.
-    /// This is the "merged in canonical order" guarantee that keeps a scorer fed by the
-    /// sharded engine (whose batches arrive bucket-by-bucket) bitwise identical to one
-    /// fed by the sequential `Stream` graph.
     pub fn push(&mut self, deltas: &[Delta<T>]) {
         let batch = consolidate(deltas.to_vec());
         let mut changes: Vec<f64> = Vec::with_capacity(batch.len());

@@ -61,8 +61,7 @@ impl<T: Record> DataflowInput<T> {
     /// Pushes a batch of deltas into the dataflow.
     ///
     /// The batch is consolidated (canonically, per record) before it propagates, so every
-    /// operator sees at most one delta per record per push — the invariant the sharded
-    /// engine's bitwise-equivalence guarantee is stated against.
+    /// operator sees at most one delta per record per push.
     pub fn push(&self, deltas: &[Delta<T>]) {
         broadcast(&self.node, &consolidate(deltas.to_vec()));
     }
@@ -313,12 +312,6 @@ pub struct CollectedOutput<T: Record> {
 }
 
 impl<T: Record> CollectedOutput<T> {
-    /// Wraps an externally-maintained accumulator (the sharded engine's collect sink
-    /// shares this handle type so downstream consumers are engine-agnostic).
-    pub(crate) fn from_shared(data: Rc<RefCell<WeightedDataset<T>>>) -> Self {
-        CollectedOutput { data }
-    }
-
     /// A snapshot of the accumulated output.
     pub fn snapshot(&self) -> WeightedDataset<T> {
         self.data.borrow().clone()
@@ -352,11 +345,6 @@ pub struct ScorerHandle<T: Record> {
 }
 
 impl<T: Record> ScorerHandle<T> {
-    /// Wraps an externally-maintained scorer (shared with the sharded engine's sink).
-    pub(crate) fn from_shared(scorer: Rc<RefCell<L1Scorer<T>>>) -> Self {
-        ScorerHandle { scorer }
-    }
-
     /// The maintained `‖Q(A) − m‖₁`.
     pub fn distance(&self) -> f64 {
         self.scorer.borrow().distance()

@@ -16,9 +16,9 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use wpinq::operators as batch;
-use wpinq::plan::{Plan, PlanBindings, ShardedStreamBindings, StreamBindings};
+use wpinq::plan::{Plan, PlanBindings, StreamBindings};
 use wpinq::WeightedDataset;
-use wpinq_dataflow::{DataflowInput, Delta, ShardedInput};
+use wpinq_dataflow::{DataflowInput, Delta};
 
 /// A random sequence of deltas over a small record domain.
 fn delta_sequence() -> impl Strategy<Value = Vec<Delta<u32>>> {
@@ -320,68 +320,15 @@ proptest! {
     }
 
     #[test]
-    fn random_plans_agree_bitwise_across_incremental_backends(
-        program in proptest::collection::vec(plan_op(), 1..10),
-        deltas in delta_sequence(),
-    ) {
-        // The tentpole contract: for every shard count, the sharded incremental engine
-        // propagates exactly the batches the sequential Stream graph does — collected
-        // outputs and L1Scorer distances stay bitwise equal after every push.
-        let source = Plan::<u32>::source();
-        let plan = build_plan(&source, &program);
-        let targets: HashMap<u32, f64> = (0u32..6).map(|i| (i, i as f64 / 2.0)).collect();
-
-        let (seq_input, seq_stream) = DataflowInput::<u32>::new();
-        let mut seq_streams = StreamBindings::new();
-        seq_streams.bind(&source, seq_stream);
-        let seq_lowered = plan.lower(&seq_streams);
-        let seq_out = seq_lowered.collect();
-        let seq_scorer = seq_lowered.l1_scorer(targets.clone());
-
-        let mut sharded = Vec::new();
-        for n in [1usize, 2, 8] {
-            let (input, stream) = ShardedInput::<u32>::new(n);
-            let mut streams = ShardedStreamBindings::new(n);
-            streams.bind(&source, stream);
-            let lowered = plan.lower_sharded(&streams);
-            sharded.push((n, input, lowered.collect(), lowered.l1_scorer(targets.clone())));
-        }
-
-        for batch in deltas.chunks(3) {
-            seq_input.push(batch);
-            let reference = seq_out.snapshot();
-            for (n, input, out, scorer) in &sharded {
-                input.push(batch);
-                let snapshot = out.snapshot();
-                prop_assert_eq!(snapshot.len(), reference.len(), "{}-shard record set diverged", n);
-                for (record, weight) in reference.iter() {
-                    prop_assert_eq!(
-                        weight.to_bits(),
-                        snapshot.weight(record).to_bits(),
-                        "plan {:?}: {}-shard weight of {:?} diverged",
-                        &program, n, record
-                    );
-                }
-                prop_assert_eq!(
-                    seq_scorer.distance().to_bits(),
-                    scorer.distance().to_bits(),
-                    "plan {:?}: {}-shard scorer distance diverged",
-                    &program, n
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn full_loads_agree_bitwise_between_batch_and_both_incremental_engines(
+    fn full_loads_agree_bitwise_between_batch_and_incremental_engine(
         program in proptest::collection::vec(plan_op(), 1..10),
         deltas in delta_sequence(),
     ) {
         // Loading a dataset into a lowered graph as one batch reproduces the batch
-        // evaluator's output exactly — bit for bit — on either incremental engine
-        // (canonical consolidation aligns every float-summation grouping, including the
-        // join's two-level per-key accumulation). This is the "releases are bitwise
-        // engine-independent" guarantee for the measurement phase.
+        // evaluator's output exactly — bit for bit (canonical consolidation aligns every
+        // float-summation grouping, including the join's two-level per-key
+        // accumulation). This is the "releases are bitwise engine-independent" guarantee
+        // for the measurement phase.
         let source = Plan::<u32>::source();
         let plan = build_plan(&source, &program);
         let data = accumulate(&deltas);
@@ -404,89 +351,6 @@ proptest! {
                 "plan {:?}: sequential-incremental weight of {:?} differs from batch",
                 &program, record
             );
-        }
-
-        for n in [1usize, 2, 8] {
-            let (input, stream) = ShardedInput::<u32>::new(n);
-            let mut streams = ShardedStreamBindings::new(n);
-            streams.bind(&source, stream);
-            let out = plan.lower_sharded(&streams).collect();
-            input.push_dataset(&data);
-            let snapshot = out.snapshot();
-            prop_assert_eq!(snapshot.len(), expected.len(), "{}-shard record set diverged", n);
-            for (record, weight) in expected.iter() {
-                prop_assert_eq!(
-                    weight.to_bits(),
-                    snapshot.weight(record).to_bits(),
-                    "plan {:?}: {}-shard incremental weight of {:?} differs from batch",
-                    &program, n, record
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn edge_swap_trajectories_agree_bitwise_across_incremental_backends(
-        deltas in edge_delta_sequence(),
-    ) {
-        // A TbI-shaped pipeline driven by simple-graph edge flips (the MCMC walk's delta
-        // pattern): both engines maintain bitwise-equal triangle outputs and scorer
-        // distances along the whole trajectory.
-        let source = Plan::<(u32, u32)>::source();
-        let paths = source
-            .join(&source, |e| e.1, |e| e.0, |x, y| (x.0, x.1, y.1))
-            .filter(|p| p.0 != p.2);
-        let plan = paths.select(|p| (p.1, p.2, p.0)).intersect(&paths);
-        let targets: HashMap<(u32, u32, u32), f64> =
-            HashMap::from([((0, 1, 2), 0.5), ((1, 2, 3), 1.0)]);
-
-        let (seq_input, seq_stream) = DataflowInput::<(u32, u32)>::new();
-        let mut seq_streams = StreamBindings::new();
-        seq_streams.bind(&source, seq_stream);
-        let seq_lowered = plan.lower(&seq_streams);
-        let seq_out = seq_lowered.collect();
-        let seq_scorer = seq_lowered.l1_scorer(targets.clone());
-
-        let mut sharded = Vec::new();
-        for n in [1usize, 2, 8] {
-            let (input, stream) = ShardedInput::<(u32, u32)>::new(n);
-            let mut streams = ShardedStreamBindings::new(n);
-            streams.bind(&source, stream);
-            let lowered = plan.lower_sharded(&streams);
-            sharded.push((n, input, lowered.collect(), lowered.l1_scorer(targets.clone())));
-        }
-
-        let mut acc = WeightedDataset::new();
-        for d in &deltas {
-            // Keep the graph simple (weights in {0, 1}), mirroring the MCMC walk.
-            let current = acc.weight(&d.0);
-            if (d.1 > 0.0 && current > 0.5) || (d.1 < 0.0 && current < 0.5) {
-                continue;
-            }
-            acc.add_weight(d.0, d.1);
-            // Push the symmetric pair, like one half of an edge swap.
-            let batch = [(d.0, d.1), ((d.0.1, d.0.0), d.1)];
-            seq_input.push(&batch);
-            let reference = seq_out.snapshot();
-            for (n, input, out, scorer) in &sharded {
-                input.push(&batch);
-                let snapshot = out.snapshot();
-                prop_assert_eq!(snapshot.len(), reference.len(), "{}-shard record set diverged", n);
-                for (record, weight) in reference.iter() {
-                    prop_assert_eq!(
-                        weight.to_bits(),
-                        snapshot.weight(record).to_bits(),
-                        "{}-shard triangle weight of {:?} diverged",
-                        n, record
-                    );
-                }
-                prop_assert_eq!(
-                    seq_scorer.distance().to_bits(),
-                    scorer.distance().to_bits(),
-                    "{}-shard scorer diverged along the trajectory",
-                    n
-                );
-            }
         }
     }
 

@@ -5,15 +5,15 @@
 //! `|A_k ∪ A′_k| · |B_k|` (the left records before or after the delta, times the right
 //! records), then the same on the right against the already-updated left. The join counts
 //! the pairs it walks in `wpinq_join_pairs_total`; this test pushes one edge swap through
-//! the length-two-paths self-join and asserts that count exactly, on both engines.
+//! the length-two-paths self-join and asserts that count exactly.
 //!
 //! The counter is process-wide, so this file holds a single test.
 
 use std::collections::BTreeSet;
 
-use wpinq::plan::{Plan, ShardedStreamBindings, StreamBindings};
+use wpinq::plan::{Plan, StreamBindings};
 use wpinq::WeightedDataset;
-use wpinq_dataflow::{DataflowInput, Delta, ShardedInput, JOIN_PAIRS_METRIC};
+use wpinq_dataflow::{DataflowInput, Delta, JOIN_PAIRS_METRIC};
 
 type Edge = (u32, u32);
 /// A join key selector over edges.
@@ -114,13 +114,4 @@ fn one_swap_through_the_length_two_paths_self_join_walks_the_intrinsic_pairs() {
     let start = pairs_total();
     input.push(&swap);
     assert_eq!(pairs_total() - start, expected, "sequential engine");
-
-    let (input, stream) = ShardedInput::<Edge>::new(2);
-    let mut streams = ShardedStreamBindings::new(2);
-    streams.bind(&source, stream);
-    let _sharded = paths.lower_sharded(&streams).collect();
-    input.push_dataset(&load);
-    let start = pairs_total();
-    input.push(&swap);
-    assert_eq!(pairs_total() - start, expected, "two-shard engine");
 }

@@ -174,7 +174,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError::at(pos, "trailing characters after document"));
@@ -261,7 +261,25 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser recurses once
+/// per level, so without a cap a line of `[`s overflows the thread's stack and aborts the
+/// process; no document the protocol defines comes near this depth.
+pub const MAX_DEPTH: usize = 128;
+
+/// The depth inside a container opened at `pos` by a value at `depth`, refused past
+/// [`MAX_DEPTH`].
+fn nested(pos: usize, depth: usize) -> Result<usize, JsonError> {
+    if depth == MAX_DEPTH {
+        return Err(JsonError::at(
+            pos,
+            format!("nesting deeper than {MAX_DEPTH} levels"),
+        ));
+    }
+    Ok(depth + 1)
+}
+
+/// Parses one value at `depth` enclosing arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(JsonError::at(*pos, "unexpected end of input")),
@@ -270,6 +288,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
         Some(b'[') => {
+            let inner = nested(*pos, depth)?;
             *pos += 1;
             let mut items = Vec::new();
             skip_ws(bytes, pos);
@@ -278,7 +297,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, inner)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -291,6 +310,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             }
         }
         Some(b'{') => {
+            let inner = nested(*pos, depth)?;
             *pos += 1;
             let mut members = Vec::new();
             skip_ws(bytes, pos);
@@ -303,7 +323,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, inner)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -459,6 +479,17 @@ mod tests {
             let back = Json::parse(&doc.to_compact()).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), bits);
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let error = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(error.offset, MAX_DEPTH);
+        // Far past the cap the parser still answers instead of overflowing its stack.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(50_000)).is_err());
     }
 
     #[test]

@@ -4,11 +4,11 @@
 use rand::Rng;
 use wpinq::plan::IncrementalEngine;
 use wpinq_analyses::edges::symmetric_edge_dataset;
-use wpinq_dataflow::Delta;
+use wpinq_dataflow::{DataflowInput, Delta};
 use wpinq_graph::{EdgeSwap, Graph};
 
 use crate::metropolis::CandidateState;
-use crate::scorers::{DistanceSink, Edge, EdgeFlow, EdgeInput};
+use crate::scorers::{DistanceSink, Edge, EdgeFlow};
 
 /// A synthetic candidate graph, its incremental dataflow, and the scorers binding it to the
 /// released measurements.
@@ -17,51 +17,42 @@ use crate::scorers::{DistanceSink, Edge, EdgeFlow, EdgeInput};
 /// `(a, b)` and `(c, d)` by `(a, d)` and `(c, b)`. Each applied swap pushes eight directed
 /// edge deltas through the dataflow (four removals and four insertions, counting both
 /// orientations), and the scorer sinks update `‖Q(A) − m‖₁` incrementally.
-///
-/// The dataflow runs on either incremental engine — the sequential `Stream` graph or the
-/// hash-partitioned sharded engine ([`IncrementalEngine`]); both propagate swaps bitwise
-/// identically, so a trajectory's accept/reject decisions are engine-independent.
 pub struct GraphCandidate {
     graph: Graph,
-    engine: IncrementalEngine,
-    input: EdgeInput,
+    input: DataflowInput<Edge>,
     sinks: Vec<Box<dyn DistanceSink>>,
 }
 
 impl GraphCandidate {
-    /// Builds a candidate over the sequential engine. `build_scorers` receives the
-    /// candidate's edge flow and attaches whatever measurement scorers the workflow
-    /// needs; afterwards the seed graph's edges are loaded into the dataflow.
+    /// Builds a candidate. `build_scorers` receives the candidate's edge flow and
+    /// attaches whatever measurement scorers the workflow needs; afterwards the seed
+    /// graph's edges are loaded into the dataflow.
     pub fn new<F>(seed: Graph, build_scorers: F) -> Self
     where
         F: FnOnce(&EdgeFlow) -> Vec<Box<dyn DistanceSink>>,
     {
-        Self::with_engine(seed, IncrementalEngine::Sequential, build_scorers)
-    }
-
-    /// [`new`](Self::new) over an explicit incremental engine.
-    pub fn with_engine<F>(seed: Graph, engine: IncrementalEngine, build_scorers: F) -> Self
-    where
-        F: FnOnce(&EdgeFlow) -> Vec<Box<dyn DistanceSink>>,
-    {
-        // Swaps preserve the edge count, so the seed's symmetric dataset size is the
-        // stream's cardinality for the whole walk — exactly the hint the sharded
-        // lowering wants for calibrating its inline/parallel cutovers.
-        let dataset = symmetric_edge_dataset(&seed);
-        let (input, flow) = EdgeFlow::create_sized(engine, Some(dataset.len()));
-        let sinks = build_scorers(&flow);
-        input.push_dataset(&dataset);
+        let (input, stream) = DataflowInput::new();
+        let sinks = build_scorers(&EdgeFlow(stream));
+        input.push_dataset(&symmetric_edge_dataset(&seed));
         GraphCandidate {
             graph: seed,
-            engine,
             input,
             sinks,
         }
     }
 
+    /// [`new`](Self::new) for callers that name the engine; [`IncrementalEngine`] has
+    /// one variant.
+    pub fn with_engine<F>(seed: Graph, _engine: IncrementalEngine, build_scorers: F) -> Self
+    where
+        F: FnOnce(&EdgeFlow) -> Vec<Box<dyn DistanceSink>>,
+    {
+        Self::new(seed, build_scorers)
+    }
+
     /// The incremental engine this candidate's dataflow runs on.
     pub fn engine(&self) -> IncrementalEngine {
-        self.engine
+        IncrementalEngine::Sequential
     }
 
     /// The current synthetic graph.
@@ -156,22 +147,13 @@ mod tests {
     use wpinq_graph::{generators, stats};
 
     fn measured_candidate(secret: &Graph, seed: Graph, epsilon: f64) -> GraphCandidate {
-        measured_candidate_on(secret, seed, epsilon, IncrementalEngine::Sequential)
-    }
-
-    fn measured_candidate_on(
-        secret: &Graph,
-        seed: Graph,
-        epsilon: f64,
-        engine: IncrementalEngine,
-    ) -> GraphCandidate {
         let edges = GraphEdges::new(secret, PrivacyBudget::unlimited());
         let mut rng = StdRng::seed_from_u64(7);
         let tbi = TbiMeasurement::measure(&edges.queryable(), epsilon, &mut rng).unwrap();
         let seq = degree_sequence_query(&edges.queryable())
             .noisy_count(epsilon, &mut rng)
             .unwrap();
-        GraphCandidate::with_engine(seed, engine, |flow| {
+        GraphCandidate::new(seed, |flow| {
             vec![tbi_scorer(flow, &tbi), degree_sequence_scorer(flow, &seq)]
         })
     }
@@ -233,49 +215,11 @@ mod tests {
     }
 
     #[test]
-    fn seeded_trajectories_are_bitwise_identical_across_engines() {
-        // The acceptance test compares exact floats, so bitwise-equal energies imply the
-        // engines accept and reject the very same swaps — the whole seeded trajectory,
-        // graph included, is engine-independent.
-        let mut rng = StdRng::seed_from_u64(9);
-        let secret = generators::powerlaw_cluster(40, 3, 0.7, &mut rng);
-        let mut seed = secret.clone();
-        generators::degree_preserving_rewire(&mut seed, 150, &mut rng);
-        let engines = [
-            IncrementalEngine::Sequential,
-            IncrementalEngine::Sharded(1),
-            IncrementalEngine::Sharded(2),
-            IncrementalEngine::Sharded(8),
-        ];
-        let mut results = Vec::new();
-        for engine in engines {
-            let mut candidate = measured_candidate_on(&secret, seed.clone(), 1e5, engine);
-            assert_eq!(candidate.engine(), engine);
-            let driver = MetropolisHastings::new(0.1, 10_000.0);
-            let mut walk_rng = StdRng::seed_from_u64(42);
-            let mut energies = Vec::with_capacity(300);
-            for _ in 0..300 {
-                driver.step(&mut candidate, &mut walk_rng);
-                energies.push(candidate.energy());
-            }
-            assert!(candidate.scorer_drift() < 1e-6);
-            results.push((energies, candidate.graph().sorted_edges()));
-        }
-        let (reference_energies, reference_edges) = &results[0];
-        for (energies, edges) in &results[1..] {
-            assert_eq!(edges, reference_edges, "trajectory graphs diverged");
-            for (step, (a, b)) in energies.iter().zip(reference_energies).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "energy diverged at step {step}");
-            }
-        }
-    }
-
-    #[test]
     fn seeded_trajectory_energies_are_pinned() {
         // A seeded TbI + degree-sequence walk, pinned to the bit: the FNV-1a hash of every
         // step's energy bits, the accepted count and the final energy. The constants were
         // recorded with the join's recompute-and-diff update, so they hold the incremental
-        // engine's arithmetic fixed across rewrites of its operators, on both engines.
+        // engine's arithmetic fixed across rewrites of its operators.
         const ENERGY_HASH: u64 = 0x8a87_2d92_5ab0_a2f3;
         const ACCEPTED: u64 = 143;
         const FINAL_ENERGY_BITS: u64 = 0x4033_df49_4460_d8d6;
@@ -284,27 +228,25 @@ mod tests {
         let secret = generators::powerlaw_cluster(120, 3, 0.7, &mut rng);
         let mut seed = secret.clone();
         generators::degree_preserving_rewire(&mut seed, 400, &mut rng);
-        for engine in [IncrementalEngine::Sequential, IncrementalEngine::Sharded(2)] {
-            let mut candidate = measured_candidate_on(&secret, seed.clone(), 1e5, engine);
-            let driver = MetropolisHastings::new(0.1, 10_000.0);
-            let mut walk_rng = StdRng::seed_from_u64(5);
-            let (mut hash, mut accepted) = (0xcbf2_9ce4_8422_2325u64, 0u64);
-            for _ in 0..500 {
-                if driver.step(&mut candidate, &mut walk_rng) == StepOutcome::Accepted {
-                    accepted += 1;
-                }
-                for byte in candidate.energy().to_bits().to_le_bytes() {
-                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-                }
+        let mut candidate = measured_candidate(&secret, seed, 1e5);
+        let driver = MetropolisHastings::new(0.1, 10_000.0);
+        let mut walk_rng = StdRng::seed_from_u64(5);
+        let (mut hash, mut accepted) = (0xcbf2_9ce4_8422_2325u64, 0u64);
+        for _ in 0..500 {
+            if driver.step(&mut candidate, &mut walk_rng) == StepOutcome::Accepted {
+                accepted += 1;
             }
-            let final_bits = candidate.energy().to_bits();
-            assert_eq!(hash, ENERGY_HASH, "{engine:?}: energy trajectory moved");
-            assert_eq!(accepted, ACCEPTED, "{engine:?}: accepted count moved");
-            assert_eq!(
-                final_bits, FINAL_ENERGY_BITS,
-                "{engine:?}: final energy moved"
-            );
+            for byte in candidate.energy().to_bits().to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
         }
+        assert_eq!(hash, ENERGY_HASH, "energy trajectory moved");
+        assert_eq!(accepted, ACCEPTED, "accepted count moved");
+        assert_eq!(
+            candidate.energy().to_bits(),
+            FINAL_ENERGY_BITS,
+            "final energy moved"
+        );
     }
 
     #[test]

@@ -27,88 +27,14 @@ use wpinq_analyses::edges::EdgeSource;
 use wpinq_analyses::jdd::{jdd_plan, jdd_record_weight};
 use wpinq_analyses::tbi::{tbi_plan, TbiMeasurement};
 use wpinq_analyses::triangles::{tbd_plan, TbdMeasurement};
-use wpinq_dataflow::{ScorerHandle, ShardedInput, ShardedStream, Stream};
+use wpinq_dataflow::{ScorerHandle, Stream};
 
 /// A directed edge record, matching `wpinq_analyses::edges::Edge`.
 pub type Edge = (u32, u32);
 
-/// A candidate graph's edge delta flow under either incremental engine — the seam the
-/// scorers lower analysis plans onto. Built by
-/// [`GraphCandidate::with_engine`](crate::GraphCandidate::with_engine) from a
-/// [`wpinq::plan::IncrementalEngine`] choice; both variants score bitwise identically.
-pub enum EdgeFlow {
-    /// The sequential `Stream` graph.
-    Sequential(Stream<Edge>),
-    /// The hash-partitioned sharded engine.
-    Sharded {
-        /// The candidate's hash-partitioned edge delta stream.
-        stream: ShardedStream<Edge>,
-        /// Expected number of directed edge records, when known (2·|E| of the candidate).
-        /// Feeds the sharded lowering's inline/parallel cutover calibration; never
-        /// affects scorer values.
-        expected_edges: Option<usize>,
-    },
-}
-
-impl EdgeFlow {
-    /// Creates the flow (input handle + stream) for the given engine.
-    pub fn create(engine: wpinq::plan::IncrementalEngine) -> (EdgeInput, EdgeFlow) {
-        Self::create_sized(engine, None)
-    }
-
-    /// [`create`](Self::create) with the expected directed-edge count of the candidate,
-    /// when the caller knows it. The sharded engine calibrates its per-operator
-    /// inline/parallel cutovers from the hint; the sequential engine ignores it.
-    pub fn create_sized(
-        engine: wpinq::plan::IncrementalEngine,
-        expected_edges: Option<usize>,
-    ) -> (EdgeInput, EdgeFlow) {
-        use wpinq::plan::IncrementalEngine;
-        match engine {
-            IncrementalEngine::Sequential => {
-                let (input, stream) = wpinq_dataflow::DataflowInput::new();
-                (EdgeInput::Sequential(input), EdgeFlow::Sequential(stream))
-            }
-            IncrementalEngine::Sharded(_) => {
-                let (input, stream) = ShardedInput::new(engine.shard_count());
-                (
-                    EdgeInput::Sharded(input),
-                    EdgeFlow::Sharded {
-                        stream,
-                        expected_edges,
-                    },
-                )
-            }
-        }
-    }
-}
-
-/// The writable end of an [`EdgeFlow`]: edge deltas pushed here propagate through every
-/// scorer lowered onto the flow.
-pub enum EdgeInput {
-    /// Input of the sequential `Stream` graph.
-    Sequential(wpinq_dataflow::DataflowInput<Edge>),
-    /// Input of the sharded engine.
-    Sharded(ShardedInput<Edge>),
-}
-
-impl EdgeInput {
-    /// Pushes a batch of edge deltas into the flow.
-    pub fn push(&self, deltas: &[wpinq_dataflow::Delta<Edge>]) {
-        match self {
-            EdgeInput::Sequential(input) => input.push(deltas),
-            EdgeInput::Sharded(input) => input.push(deltas),
-        }
-    }
-
-    /// Pushes an entire edge dataset as insertions.
-    pub fn push_dataset(&self, data: &wpinq::WeightedDataset<Edge>) {
-        match self {
-            EdgeInput::Sequential(input) => input.push_dataset(data),
-            EdgeInput::Sharded(input) => input.push_dataset(data),
-        }
-    }
-}
+/// A candidate graph's edge delta stream — what the scorers lower analysis plans onto.
+/// [`GraphCandidate::new`](crate::GraphCandidate::new) hands one to its scorer builder.
+pub struct EdgeFlow(pub Stream<Edge>);
 
 /// Anything that reports an incrementally maintained distance to its measurement target.
 pub trait DistanceSink {
@@ -147,7 +73,7 @@ fn observed_targets<T: Record>(counts: &NoisyCounts<T>) -> HashMap<T, f64> {
         .collect()
 }
 
-/// Lowers an analysis plan onto the candidate's edge flow (either engine) and scores it
+/// Lowers an analysis plan onto the candidate's edge flow and scores it
 /// against explicit measurement targets.
 fn plan_scorer<T, F>(
     edges: &EdgeFlow,
@@ -162,21 +88,7 @@ where
 {
     let source = EdgeSource::new();
     let measurement = build(source.plan()).noisy_count(epsilon);
-    let handle = match edges {
-        EdgeFlow::Sequential(stream) => {
-            measurement.lower_scorer_targets(&source.bind_stream(stream.clone()), targets)
-        }
-        EdgeFlow::Sharded {
-            stream,
-            expected_edges,
-        } => {
-            let bindings = match expected_edges {
-                Some(n) => source.bind_sharded_stream_sized(stream.clone(), *n),
-                None => source.bind_sharded_stream(stream.clone()),
-            };
-            measurement.lower_scorer_targets_sharded(&bindings, targets)
-        }
-    };
+    let handle = measurement.lower_scorer_targets(&source.bind_stream(edges.0.clone()), targets);
     Box::new(LabelledScorer {
         handle,
         label: label.to_string(),
@@ -278,7 +190,7 @@ mod tests {
         let measurement = TbiMeasurement::measure(&edges.queryable(), 1e6, &mut rng).unwrap();
 
         let (input, stream) = DataflowInput::<Edge>::new();
-        let sink = tbi_scorer(&EdgeFlow::Sequential(stream), &measurement);
+        let sink = tbi_scorer(&EdgeFlow(stream), &measurement);
         // Before loading anything the distance is the full measured signal.
         assert!((sink.distance() - measurement.noisy_signal.abs()).abs() < 1e-9);
         input.push_dataset(&symmetric_edge_dataset(&g));
@@ -300,7 +212,7 @@ mod tests {
             .unwrap();
 
         let (input, stream) = DataflowInput::<Edge>::new();
-        let sink = degree_ccdf_scorer(&EdgeFlow::Sequential(stream), &measurement);
+        let sink = degree_ccdf_scorer(&EdgeFlow(stream), &measurement);
         input.push_dataset(&symmetric_edge_dataset(&g));
         // The candidate equals the measured graph, so the distance equals the total noise.
         let expected = measurement.l1_distance(degree_ccdf_query(&edges.queryable()).inspect());
@@ -319,7 +231,7 @@ mod tests {
         let measurement = TbdMeasurement::measure(&edges.queryable(), 1e6, 1, &mut rng).unwrap();
 
         let (input, stream) = DataflowInput::<Edge>::new();
-        let sink = tbd_scorer(&EdgeFlow::Sequential(stream), &measurement);
+        let sink = tbd_scorer(&EdgeFlow(stream), &measurement);
         input.push_dataset(&symmetric_edge_dataset(&g));
         let with_truth = sink.distance();
         assert!(with_truth < 1e-3);
@@ -338,7 +250,7 @@ mod tests {
             .noisy_count(1e6, &mut rng)
             .unwrap();
         let (input, stream) = DataflowInput::<Edge>::new();
-        let sink = jdd_scorer(&EdgeFlow::Sequential(stream), &measurement);
+        let sink = jdd_scorer(&EdgeFlow(stream), &measurement);
         assert!(sink.distance() > 0.0);
         input.push_dataset(&symmetric_edge_dataset(&g));
         assert!(sink.distance() < 1e-3);
@@ -381,47 +293,10 @@ mod tests {
     }
 
     #[test]
-    fn scorers_agree_bitwise_across_incremental_engines() {
-        use wpinq::plan::IncrementalEngine;
-        let g = toy_graph();
-        let edges = GraphEdges::new(&g, PrivacyBudget::unlimited());
-        let mut rng = StdRng::seed_from_u64(21);
-        let measurement = TbdMeasurement::measure(&edges.queryable(), 1e4, 1, &mut rng).unwrap();
-        let engines = [
-            IncrementalEngine::Sequential,
-            IncrementalEngine::Sharded(1),
-            IncrementalEngine::Sharded(2),
-            IncrementalEngine::Sharded(8),
-        ];
-        let mut flows = Vec::new();
-        for engine in engines {
-            let (input, flow) = EdgeFlow::create(engine);
-            let sink = tbd_scorer(&flow, &measurement);
-            input.push_dataset(&symmetric_edge_dataset(&g));
-            flows.push((input, sink));
-        }
-        let reference = flows[0].1.distance();
-        for (_, sink) in &flows[1..] {
-            assert_eq!(reference.to_bits(), sink.distance().to_bits());
-        }
-        // Remove the triangle-closing edge everywhere: the engines move in lock-step.
-        for (input, _) in &flows {
-            input.push(&[((0, 2), -1.0), ((2, 0), -1.0)]);
-        }
-        let reference = flows[0].1.distance();
-        assert!(reference > 0.1);
-        for (_, sink) in &flows[1..] {
-            assert_eq!(reference.to_bits(), sink.distance().to_bits());
-        }
-    }
-
-    #[test]
-    fn optimizer_level_and_engine_choice_commute_on_scorer_distances() {
-        // The satellite guarantee: seeded scoring is identical across
-        // `OptimizeLevel::{None, Full}` × incremental engine {sequential, sharded}.
-        use wpinq::plan::{IncrementalEngine, OptimizeLevel};
+    fn optimizer_level_leaves_scorer_distances_bitwise_unchanged() {
+        // Seeded scoring is identical across `OptimizeLevel::{None, Full}`.
+        use wpinq::plan::OptimizeLevel;
         use wpinq_analyses::tbi::tbi_plan;
-        use wpinq_dataflow::ShardedInput;
 
         let g = toy_graph();
         let edges = GraphEdges::new(&g, PrivacyBudget::unlimited());
@@ -429,51 +304,24 @@ mod tests {
         let measurement = TbiMeasurement::measure(&edges.queryable(), 1e4, &mut rng).unwrap();
         let targets = HashMap::from([((), measurement.noisy_signal)]);
 
-        let mut handles = Vec::new();
-        let mut push_truth: Vec<Box<dyn Fn()>> = Vec::new();
-        for level in [OptimizeLevel::None, OptimizeLevel::Full] {
-            for engine in [IncrementalEngine::Sequential, IncrementalEngine::Sharded(2)] {
+        let distances: Vec<u64> = [OptimizeLevel::None, OptimizeLevel::Full]
+            .into_iter()
+            .map(|level| {
                 let source = EdgeSource::new();
                 let annotated = tbi_plan(source.plan()).noisy_count(measurement.epsilon);
-                match engine {
-                    IncrementalEngine::Sequential => {
-                        let (input, stream) = DataflowInput::<Edge>::new();
-                        let handle = annotated
-                            .plan()
-                            .lower_opt(&source.bind_stream(stream), level)
-                            .l1_scorer(targets.clone());
-                        handles.push(handle);
-                        let g = g.clone();
-                        push_truth.push(Box::new(move || {
-                            input.push_dataset(&symmetric_edge_dataset(&g))
-                        }));
-                    }
-                    IncrementalEngine::Sharded(n) => {
-                        let (input, stream) = ShardedInput::<Edge>::new(n);
-                        let handle = annotated
-                            .plan()
-                            .lower_sharded_opt(&source.bind_sharded_stream(stream), level)
-                            .l1_scorer(targets.clone());
-                        handles.push(handle);
-                        let g = g.clone();
-                        push_truth.push(Box::new(move || {
-                            input.push_dataset(&symmetric_edge_dataset(&g))
-                        }));
-                    }
-                }
-            }
-        }
-        for push in &push_truth {
-            push();
-        }
-        let reference = handles[0].distance();
-        for handle in &handles[1..] {
-            assert_eq!(
-                reference.to_bits(),
-                handle.distance().to_bits(),
-                "scorer distance depends on optimize level × engine"
-            );
-        }
+                let (input, stream) = DataflowInput::<Edge>::new();
+                let handle = annotated
+                    .plan()
+                    .lower_opt(&source.bind_stream(stream), level)
+                    .l1_scorer(targets.clone());
+                input.push_dataset(&symmetric_edge_dataset(&g));
+                handle.distance().to_bits()
+            })
+            .collect();
+        assert_eq!(
+            distances[0], distances[1],
+            "scorer distance depends on the optimize level"
+        );
     }
 
     #[test]

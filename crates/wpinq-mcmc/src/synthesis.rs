@@ -69,12 +69,6 @@ pub struct SynthesisConfig {
     /// evaluates on an `n`-way [`ShardedExecutor`](wpinq::plan::ShardedExecutor). Every
     /// setting produces bitwise-identical measurements (given the same RNG state).
     pub threads: usize,
-    /// State-shard count for the **incremental engine** driving the MCMC walk: `0`
-    /// defers to the `WPINQ_INC_SHARDS` environment variable (default: the sequential
-    /// `Stream` graph), `n ≥ 1` runs the hash-partitioned sharded engine with `n`
-    /// shards. Every setting propagates swaps bitwise identically, so seeded
-    /// trajectories are engine-independent.
-    pub inc_shards: usize,
 }
 
 impl Default for SynthesisConfig {
@@ -87,7 +81,6 @@ impl Default for SynthesisConfig {
             triangle_query: TriangleQuery::TbI,
             score_degrees: false,
             threads: 0,
-            inc_shards: 0,
         }
     }
 }
@@ -98,18 +91,6 @@ impl SynthesisConfig {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
-    }
-
-    /// Builder-style override of the incremental-engine shard count (see
-    /// [`inc_shards`](Self::inc_shards)).
-    pub fn with_inc_shards(mut self, inc_shards: usize) -> Self {
-        self.inc_shards = inc_shards;
-        self
-    }
-
-    /// The incremental engine the MCMC walk runs on under this configuration.
-    pub fn incremental_engine(&self) -> wpinq::plan::IncrementalEngine {
-        wpinq::plan::IncrementalEngine::for_shards(self.inc_shards)
     }
 
     /// The total privacy cost of the workflow: 3ε for the seed measurements plus the
@@ -165,14 +146,11 @@ pub fn synthesize<R: Rng + ?Sized>(
 ) -> Result<SynthesisResult, WpinqError> {
     let budget = PrivacyBudget::new(config.total_privacy_cost() + 1e-9);
     let edges = GraphEdges::new(secret, budget);
-    // The two backend knobs select the batch execution strategy for the measurement
-    // phase and the incremental engine for the walk; every strategy on either side
-    // computes bitwise-identical data, so neither can perturb releases or trajectories.
-    let backend = wpinq::plan::PairedBackend::new(
-        wpinq::plan::executor_for_threads(config.threads),
-        config.incremental_engine(),
-    );
-    let queryable = edges.queryable().with_backend(&backend);
+    // The thread knob selects the batch execution strategy for the measurement phase;
+    // every strategy computes bitwise-identical data, so it cannot perturb releases.
+    let queryable = edges
+        .queryable()
+        .with_executor(wpinq::plan::executor_for_threads(config.threads));
 
     // Phase 1: degree measurements and seed graph (3ε).
     let degree_measurements = DegreeMeasurements::measure(&queryable, config.epsilon, rng)?;
@@ -196,25 +174,24 @@ pub fn synthesize<R: Rng + ?Sized>(
     };
     let privacy_cost = edges.budget().spent();
 
-    // Build the candidate with its incremental scorers on the configured engine. The
-    // secret graph is not used below.
+    // Build the candidate with its incremental scorers. The secret graph is not used
+    // below.
     let score_degrees = config.score_degrees;
-    let candidate =
-        GraphCandidate::with_engine(seed.clone(), queryable.incremental_engine(), |flow| {
-            let mut sinks = Vec::new();
-            match &triangle_measurement {
-                TriangleMeasurement::TbD(m) => sinks.push(scorers::tbd_scorer(flow, m)),
-                TriangleMeasurement::TbI(m) => sinks.push(scorers::tbi_scorer(flow, m)),
-            }
-            if score_degrees {
-                sinks.push(scorers::degree_ccdf_scorer(flow, &degree_measurements.ccdf));
-                sinks.push(scorers::degree_sequence_scorer(
-                    flow,
-                    &degree_measurements.sequence,
-                ));
-            }
-            sinks
-        });
+    let candidate = GraphCandidate::new(seed.clone(), |flow| {
+        let mut sinks = Vec::new();
+        match &triangle_measurement {
+            TriangleMeasurement::TbD(m) => sinks.push(scorers::tbd_scorer(flow, m)),
+            TriangleMeasurement::TbI(m) => sinks.push(scorers::tbi_scorer(flow, m)),
+        }
+        if score_degrees {
+            sinks.push(scorers::degree_ccdf_scorer(flow, &degree_measurements.ccdf));
+            sinks.push(scorers::degree_sequence_scorer(
+                flow,
+                &degree_measurements.sequence,
+            ));
+        }
+        sinks
+    });
 
     let result = run_mcmc(candidate, seed, config, privacy_cost, rng);
     Ok(result)
@@ -413,7 +390,6 @@ mod tests {
             triangle_query: TriangleQuery::TbI,
             score_degrees: false,
             threads: 0,
-            inc_shards: 0,
         };
         let result = synthesize(&secret, &config, &mut rng).unwrap();
         // The privacy cost is exactly what the configuration promised.
@@ -458,7 +434,6 @@ mod tests {
             triangle_query: TriangleQuery::TbD { bucket: 4 },
             score_degrees: true,
             threads: 0,
-            inc_shards: 0,
         };
         let result = synthesize(&secret, &config, &mut rng).unwrap();
         assert!((result.privacy_cost - 12.0).abs() < 1e-9);

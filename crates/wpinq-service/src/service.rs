@@ -1157,7 +1157,7 @@ impl MeasurementService {
     /// Publishes service-level gauges onto the telemetry registry: per-grant ε spent
     /// and remaining (labelled by analyst and dataset) and the measurement cache's
     /// resident-entry count. Counters (requests, cache hits/misses/evictions, audit
-    /// drops, pool dispatches, exchanges) increment live and need no sync. Called by
+    /// drops, pool dispatches) increment live and need no sync. Called by
     /// the `stats` op and the Prometheus exposition endpoint before rendering.
     pub fn sync_metrics(&self) {
         for (analyst, dataset, spent, remaining) in self.budgets.snapshot() {

@@ -303,3 +303,43 @@ fn an_over_long_request_line_is_refused_and_the_worker_survives() {
     drop(tcp);
     server.shutdown();
 }
+
+/// A line nested far deeper than any request (200 KB of `[`) is refused with one `wire`
+/// error, in process and over TCP, instead of overflowing the parser's stack and taking
+/// the curator down; the same service and connection then answer a measurement.
+#[test]
+fn a_deeply_nested_line_gets_one_wire_error_and_the_server_keeps_serving() {
+    let (server, service) = server(1);
+    let nested = "[".repeat(200 << 10);
+    let is_wire_error = |reply: &str| {
+        reply.starts_with("{\"ok\":false,\"error\":{\"code\":\"wire\",") && reply.ends_with('}')
+    };
+
+    let reply = service.handle_line(&nested);
+    assert!(is_wire_error(&reply) && !reply.contains('\n'), "{reply}");
+    let reply = service.handle_line(&request_line("in-process"));
+    assert!(
+        reply.starts_with("{\"ok\":true,\"id\":\"in-process\","),
+        "{reply}"
+    );
+
+    let (mut reader, mut stream) = connect(&server);
+    stream
+        .write_all(format!("{nested}\n").as_bytes())
+        .expect("write");
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("reply");
+    assert!(is_wire_error(reply.trim_end_matches('\n')), "{reply}");
+    assert_quiet(&mut reader);
+    stream
+        .write_all(format!("{}\n", request_line("after")).as_bytes())
+        .expect("write");
+    reply.clear();
+    reader.read_line(&mut reply).expect("reply");
+    assert!(
+        reply.starts_with("{\"ok\":true,\"id\":\"after\","),
+        "{reply}"
+    );
+    drop((reader, stream));
+    server.shutdown();
+}

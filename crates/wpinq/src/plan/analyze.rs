@@ -1,6 +1,6 @@
 //! EXPLAIN ANALYZE for plan evaluation: per-operator wall time, output cardinalities,
 //! and the kernel (columnar vs row) each expression operator chose, plus the worker-pool
-//! dispatch and exchange deltas folded in from the `wpinq-telemetry` registry.
+//! dispatch delta folded in from the `wpinq-telemetry` registry.
 //!
 //! The collector rides inside the evaluation contexts ([`BatchCtx`](super::nodes) /
 //! [`ShardCtx`](super::nodes)) as an `Option`: a `None` collector adds one branch per
@@ -47,7 +47,7 @@ pub(crate) fn count_kernel_rows(kernel: &'static str, rows: u64) {
 
 /// Rows resolved into canonical totals during one span, by resolution strategy — the
 /// deltas of the `wpinq_resolved_rows_total` registry series (process-global: concurrent
-/// evaluations in other threads bleed in, same caveat as the pool/exchange counters).
+/// evaluations in other threads bleed in, same caveat as the pool-dispatch counter).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ResolveStats {
     /// Rows resolved by the radix-partitioned packed-key accumulator.
@@ -141,8 +141,6 @@ pub struct AnalyzeReport {
     /// Worker-pool dispatches during the evaluation (process-global registry delta;
     /// concurrent evaluations in other threads bleed in).
     pub pool_dispatches: u64,
-    /// Consolidating dataflow exchanges during the evaluation (same caveat).
-    pub exchanges: u64,
     /// Rows resolved into canonical totals during the evaluation, by strategy
     /// (same caveat).
     pub resolved: ResolveStats,
@@ -152,11 +150,10 @@ impl AnalyzeReport {
     /// Renders the report as an indented text tree, one line per frame, root first.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "EXPLAIN ANALYZE ({}; total {} us; pool dispatches {}; exchanges {}; resolved {})\n",
+            "EXPLAIN ANALYZE ({}; total {} us; pool dispatches {}; resolved {})\n",
             self.executor,
             self.total_us,
             self.pool_dispatches,
-            self.exchanges,
             self.resolved.render()
         );
         // Frames are recorded in walk order (root first), which reads like
@@ -216,11 +213,10 @@ impl AnalyzeReport {
         }
         format!(
             "{{\"executor\":\"{}\",\"total_us\":{},\"pool_dispatches\":{},\
-             \"exchanges\":{},\"resolved\":{},\"nodes\":[{}]}}",
+             \"resolved\":{},\"nodes\":[{}]}}",
             json_escape(&self.executor),
             self.total_us,
             self.pool_dispatches,
-            self.exchanges,
             self.resolved.to_json(),
             nodes
         )
@@ -323,7 +319,6 @@ impl AnalyzeCollector {
 /// Snapshot of the registry counters an [`AnalyzeReport`] folds in as deltas.
 pub(crate) struct CounterBaseline {
     dispatches: u64,
-    exchanges: u64,
     resolved: ResolveStats,
 }
 
@@ -331,16 +326,14 @@ impl CounterBaseline {
     pub(crate) fn take() -> Self {
         CounterBaseline {
             dispatches: registry().counter_value(wpinq_core::shard::POOL_DISPATCHES_METRIC),
-            exchanges: registry().counter_value(wpinq_dataflow::EXCHANGES_METRIC),
             resolved: ResolveStats::snapshot(),
         }
     }
 
-    pub(crate) fn deltas(&self) -> (u64, u64, ResolveStats) {
+    pub(crate) fn deltas(&self) -> (u64, ResolveStats) {
         let now = CounterBaseline::take();
         (
             now.dispatches.saturating_sub(self.dispatches),
-            now.exchanges.saturating_sub(self.exchanges),
             now.resolved.delta_since(&self.resolved),
         )
     }

@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 use wpinq_core::dataset::WeightedDataset;
 use wpinq_core::record::Record;
 use wpinq_core::shard::ShardedDataset;
-use wpinq_dataflow::{ShardedStream, Stream};
+use wpinq_dataflow::Stream;
 
 use super::{InputId, Plan};
 
@@ -184,92 +184,5 @@ impl StreamBindings {
 impl std::fmt::Debug for StreamBindings {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "StreamBindings({} sources)", self.streams.len())
-    }
-}
-
-/// Maps plan sources to the [`ShardedStream`]s the sharded incremental lowering consumes.
-///
-/// All streams of one lowering must share the graph's shard count, which the binding set
-/// carries so constant nodes (e.g. [`Plan::empty`]) can synthesise co-sharded streams.
-pub struct ShardedStreamBindings {
-    nshards: usize,
-    streams: HashMap<InputId, Box<dyn Any>>,
-    /// Expected record counts per bound source, when the caller knows them. The sharded
-    /// lowering calibrates each operator's inline/parallel cutover from these (never
-    /// affects results — only which batches run on the worker pool).
-    sizes: HashMap<InputId, usize>,
-}
-
-impl ShardedStreamBindings {
-    /// Creates an empty binding set for a graph with `nshards` shards (clamped to ≥ 1).
-    pub fn new(nshards: usize) -> Self {
-        ShardedStreamBindings {
-            nshards: nshards.max(1),
-            streams: HashMap::new(),
-            sizes: HashMap::new(),
-        }
-    }
-
-    /// The graph's shard count.
-    pub fn num_shards(&self) -> usize {
-        self.nshards
-    }
-
-    /// Binds `source` (which must be a [`Plan::source`]) to a sharded delta stream.
-    ///
-    /// # Panics
-    /// Panics if `source` is not a source plan, or if the stream's shard count differs
-    /// from the binding set's.
-    pub fn bind<T: Record>(&mut self, source: &Plan<T>, stream: ShardedStream<T>) {
-        let id = input_id_of(source, "ShardedStreamBindings");
-        assert_eq!(
-            stream.num_shards(),
-            self.nshards,
-            "bound stream has a different shard count than the binding set"
-        );
-        self.streams.insert(id, Box::new(stream));
-    }
-
-    /// [`bind`](Self::bind) plus an expected record count for the source, feeding the
-    /// lowering's cutover calibration (e.g. the edge count of an MCMC candidate graph).
-    pub fn bind_with_size<T: Record>(
-        &mut self,
-        source: &Plan<T>,
-        stream: ShardedStream<T>,
-        expected_records: usize,
-    ) {
-        self.bind(source, stream);
-        let id = input_id_of(source, "ShardedStreamBindings");
-        self.sizes.insert(id, expected_records);
-    }
-
-    /// Returns `true` when the given input already has a stream bound.
-    pub fn is_bound(&self, id: InputId) -> bool {
-        self.streams.contains_key(&id)
-    }
-
-    /// Expected record counts per bound source (cutover-calibration statistics).
-    pub(crate) fn size_hints(&self) -> &HashMap<InputId, usize> {
-        &self.sizes
-    }
-
-    pub(crate) fn get<T: Record>(&self, id: InputId) -> ShardedStream<T> {
-        self.streams
-            .get(&id)
-            .unwrap_or_else(|| panic!("unbound plan source {id:?}"))
-            .downcast_ref::<ShardedStream<T>>()
-            .unwrap_or_else(|| panic!("plan source {id:?} bound at a different record type"))
-            .clone()
-    }
-}
-
-impl std::fmt::Debug for ShardedStreamBindings {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ShardedStreamBindings({} sources, {} shards)",
-            self.streams.len(),
-            self.nshards
-        )
     }
 }

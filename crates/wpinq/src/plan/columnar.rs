@@ -14,7 +14,7 @@ use std::any::Any;
 
 use wpinq_core::dataset::WeightedDataset;
 use wpinq_core::record::Record;
-use wpinq_core::shard::{ShardRunner, ShardedDataset};
+use wpinq_core::shard::{ShardedDataset, WorkerPool};
 use wpinq_core::value::Value;
 use wpinq_expr::{columnar, Expr, ReduceSpec};
 
@@ -47,7 +47,7 @@ pub(crate) fn try_select<T: Record, U: Record>(
 pub(crate) fn try_select_shards<T: Record, U: Record>(
     parent: &ShardedDataset<T>,
     expr: &Expr,
-    runner: ShardRunner<'_>,
+    pool: &WorkerPool,
 ) -> Option<ShardedDataset<U>> {
     if !columnar::columnar_enabled() {
         return None;
@@ -55,7 +55,7 @@ pub(crate) fn try_select_shards<T: Record, U: Record>(
     cast_out(columnar::select_sharded(
         as_value_shards(parent)?,
         expr,
-        runner,
+        pool,
     )?)
 }
 
@@ -72,7 +72,7 @@ pub(crate) fn try_filter<T: Record>(
 pub(crate) fn try_filter_shards<T: Record>(
     parent: &ShardedDataset<T>,
     predicate: &Expr,
-    runner: ShardRunner<'_>,
+    pool: &WorkerPool,
 ) -> Option<ShardedDataset<T>> {
     if !columnar::columnar_enabled() {
         return None;
@@ -80,7 +80,7 @@ pub(crate) fn try_filter_shards<T: Record>(
     cast_out(columnar::filter_sharded(
         as_value_shards(parent)?,
         predicate,
-        runner,
+        pool,
     )?)
 }
 
@@ -97,7 +97,7 @@ pub(crate) fn try_select_many_unit<T: Record, U: Record>(
 pub(crate) fn try_select_many_unit_shards<T: Record, U: Record>(
     parent: &ShardedDataset<T>,
     exprs: &[Expr],
-    runner: ShardRunner<'_>,
+    pool: &WorkerPool,
 ) -> Option<ShardedDataset<U>> {
     if !columnar::columnar_enabled() {
         return None;
@@ -105,7 +105,7 @@ pub(crate) fn try_select_many_unit_shards<T: Record, U: Record>(
     cast_out(columnar::select_many_unit_sharded(
         as_value_shards(parent)?,
         exprs,
-        runner,
+        pool,
     )?)
 }
 
@@ -124,7 +124,7 @@ pub(crate) fn try_group_by_shards<T: Record, K: Record, R: Record>(
     parent: &ShardedDataset<T>,
     key: &Expr,
     reduce: &ReduceSpec,
-    runner: ShardRunner<'_>,
+    pool: &WorkerPool,
 ) -> Option<ShardedDataset<(K, R)>> {
     if !columnar::columnar_enabled() {
         return None;
@@ -133,7 +133,7 @@ pub(crate) fn try_group_by_shards<T: Record, K: Record, R: Record>(
         as_value_shards(parent)?,
         key,
         reduce,
-        runner,
+        pool,
     )?)
 }
 
@@ -162,7 +162,7 @@ pub(crate) fn try_join_shards<A: Record, B: Record, R: Record>(
     key_left: &Expr,
     key_right: &Expr,
     result: &Expr,
-    runner: ShardRunner<'_>,
+    pool: &WorkerPool,
 ) -> Option<ShardedDataset<R>> {
     if !columnar::columnar_enabled() {
         return None;
@@ -173,6 +173,6 @@ pub(crate) fn try_join_shards<A: Record, B: Record, R: Record>(
         key_left,
         key_right,
         result,
-        runner,
+        pool,
     )?)
 }

@@ -1,32 +1,20 @@
-//! The pluggable backend layer: *how* a plan is executed, separated from *what* it
-//! computes.
+//! The pluggable batch-execution layer: *how* a plan is evaluated, separated from *what*
+//! it computes.
 //!
 //! A [`Plan`](super::Plan) is pure IR; privacy accounting flows from its structure and is
 //! independent of the engine that folds it over data (compare ProvSQL's split between
-//! semiring annotation and evaluation). The seam is **two-sided**, because a plan has two
-//! execution modes:
+//! semiring annotation and evaluation). Batch evaluation plugs in through [`Executor`]:
+//! [`SequentialExecutor`] (the reference single-threaded fold through
+//! `wpinq_core::operators`) or [`ShardedExecutor`] (hash-partitioned shard-parallel
+//! kernels, `wpinq_core::shard`, dispatching on a long-lived shared [`WorkerPool`]). Both
+//! are **bitwise identical**, so callers can switch executors freely — including
+//! mid-experiment — without perturbing released measurements.
 //!
-//! * **Batch evaluation** plugs in through [`Executor`]:
-//!   [`SequentialExecutor`] (the reference single-threaded fold through
-//!   `wpinq_core::operators`) or [`ShardedExecutor`] (hash-partitioned shard-parallel
-//!   kernels, `wpinq_core::shard`, dispatching on a long-lived shared [`WorkerPool`] by
-//!   default or fresh scoped workers via [`ShardedExecutor::scoped`]).
-//! * **Incremental lowering** plugs in through [`IncrementalEngine`]: the sequential
-//!   `wpinq_dataflow::Stream` graph, or the hash-partitioned
-//!   [`ShardedStream`](wpinq_dataflow::ShardedStream) engine whose per-operator delta
-//!   kernels exchange deltas only at GroupBy/Join boundaries.
+//! Incremental lowering has one engine, the sequential `wpinq_dataflow::Stream` graph
+//! ([`IncrementalEngine::Sequential`]).
 //!
-//! [`Backend`] pairs the two sides, so front ends ([`Queryable`](crate::Queryable), the
-//! MCMC `SynthesisConfig`) carry *one* strategy handle covering both the measurement
-//! phase and the synthesis walk. Every strategy on both sides is **bitwise identical** to
-//! its sequential reference, so callers can switch backends freely — including
-//! mid-experiment — without perturbing released measurements or scorer trajectories.
-//! Future backends named by the ROADMAP (a persisted/off-core state store) land behind
-//! this same trait.
-//!
-//! Defaults come from environment variables: `WPINQ_THREADS` (batch side, via
-//! [`default_executor`]) and `WPINQ_INC_SHARDS` (incremental side, via
-//! [`IncrementalEngine::from_env`]); [`default_backend`] pairs both.
+//! The default executor comes from the `WPINQ_THREADS` environment variable (via
+//! [`default_executor`]).
 
 use std::sync::Arc;
 
@@ -34,11 +22,6 @@ use wpinq_core::shard::WorkerPool;
 
 /// Environment variable selecting the default shard/thread count (`1` = sequential).
 pub const THREADS_ENV: &str = "WPINQ_THREADS";
-
-/// Environment variable selecting the default incremental engine: unset or `0` is the
-/// sequential `Stream` graph, `n ≥ 1` is the sharded engine with `n` state shards (`1`
-/// exercises the sharded machinery single-shard).
-pub const INC_SHARDS_ENV: &str = "WPINQ_INC_SHARDS";
 
 /// A batch execution strategy for plans.
 ///
@@ -53,12 +36,10 @@ pub trait Executor: std::fmt::Debug + Send + Sync {
     /// Short human-readable strategy name for logs and diagnostics.
     fn name(&self) -> &'static str;
 
-    /// The long-lived worker pool shard kernels should dispatch on, when this strategy
-    /// owns one. `None` (the default) falls back to fresh scoped threads per exchange —
-    /// the reference strategy, bitwise identical but with per-call spawn cost.
-    fn pool(&self) -> Option<&WorkerPool> {
-        None
-    }
+    /// The long-lived worker pool shard kernels dispatch on. Must be `Some` whenever
+    /// [`shard_count`](Executor::shard_count) is above 1; single-shard strategies run
+    /// inline and return `None`.
+    fn pool(&self) -> Option<&WorkerPool>;
 }
 
 /// The single-threaded reference strategy: folds the operator DAG through the sequential
@@ -74,17 +55,19 @@ impl Executor for SequentialExecutor {
     fn name(&self) -> &'static str {
         "sequential"
     }
+
+    fn pool(&self) -> Option<&WorkerPool> {
+        None
+    }
 }
 
 /// The shard-parallel strategy: hash-partitions sources into `n` shards and evaluates
 /// every operator on `n` worker threads, producing bitwise-identical results to
 /// [`SequentialExecutor`].
 ///
-/// By default ([`new`](Self::new)) the executor holds a handle to the process-shared
-/// [`WorkerPool`] for its shard count, so every evaluation dispatches onto the same
-/// long-lived workers and steady-state query evaluation spawns zero threads. The
-/// [`scoped`](Self::scoped) constructor opts back into fresh `std::thread::scope` workers
-/// per exchange — the reference strategy the equivalence tests compare against.
+/// The executor holds a handle to the process-shared [`WorkerPool`] for its shard count,
+/// so every evaluation dispatches onto the same long-lived workers and steady-state query
+/// evaluation spawns zero threads.
 #[derive(Debug, Clone)]
 pub struct ShardedExecutor {
     shards: usize,
@@ -106,15 +89,6 @@ impl ShardedExecutor {
         ShardedExecutor {
             shards,
             pool: (shards > 1).then(|| WorkerPool::shared(shards)),
-        }
-    }
-
-    /// Creates an executor that spawns fresh scoped workers per exchange instead of
-    /// pooling — the reference strategy, bitwise identical to the pooled one.
-    pub fn scoped(shards: usize) -> Self {
-        ShardedExecutor {
-            shards: shards.clamp(1, MAX_SHARDS),
-            pool: None,
         }
     }
 
@@ -153,148 +127,20 @@ fn threads_from_env() -> Option<usize> {
         .map(|n| n.max(1))
 }
 
-// ---------------------------------------------------------------------------------------
-// The incremental side of the seam
-// ---------------------------------------------------------------------------------------
-
-/// Which incremental engine a plan lowers onto — the second side of the [`Backend`] seam.
-///
-/// Both engines propagate delta batches **bitwise identically** (canonical consolidation
-/// at every exchange, canonical `L1Scorer` batch merges), so the choice only affects
-/// wall-clock time and memory layout — never a score or a release.
+/// Which incremental engine a plan lowers onto. There is one: the single-threaded
+/// `wpinq_dataflow::Stream` graph. The type stays so callers (and result files) can name
+/// the engine that ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IncrementalEngine {
-    /// The single-threaded `wpinq_dataflow::Stream` graph (the reference engine).
+    /// The single-threaded `wpinq_dataflow::Stream` graph.
     Sequential,
-    /// The hash-partitioned [`ShardedStream`](wpinq_dataflow::ShardedStream) engine with
-    /// the given number of state shards (clamped to `1..=`[`MAX_SHARDS`]).
-    Sharded(usize),
 }
 
 impl IncrementalEngine {
-    /// The engine selected by [`INC_SHARDS_ENV`]: unset, unparsable or `0` is
-    /// [`Sequential`](Self::Sequential) (parallelism never switches on silently),
-    /// `n ≥ 1` is [`Sharded`](Self::Sharded)`(n)`.
+    /// The process-default engine (always [`Sequential`](Self::Sequential)).
     pub fn from_env() -> Self {
-        match std::env::var(INC_SHARDS_ENV)
-            .ok()
-            .and_then(|raw| raw.trim().parse::<usize>().ok())
-        {
-            Some(n) if n >= 1 => IncrementalEngine::Sharded(n.min(MAX_SHARDS)),
-            _ => IncrementalEngine::Sequential,
-        }
-    }
-
-    /// The engine for an explicit shard-count knob: `0` defers to the environment
-    /// ([`from_env`](Self::from_env)), `n ≥ 1` is the sharded engine with `n` shards.
-    /// (Use [`IncrementalEngine::Sequential`] directly for the sequential graph.)
-    pub fn for_shards(shards: usize) -> Self {
-        match shards {
-            0 => IncrementalEngine::from_env(),
-            n => IncrementalEngine::Sharded(n.min(MAX_SHARDS)),
-        }
-    }
-
-    /// How many state shards the engine keeps (1 for the sequential graph).
-    pub fn shard_count(&self) -> usize {
-        match self {
-            IncrementalEngine::Sequential => 1,
-            IncrementalEngine::Sharded(n) => (*n).clamp(1, MAX_SHARDS),
-        }
-    }
-
-    /// Short human-readable engine name for logs and bench rows.
-    pub fn name(&self) -> &'static str {
-        match self {
-            IncrementalEngine::Sequential => "seq-inc",
-            IncrementalEngine::Sharded(_) => "sharded-inc",
-        }
-    }
-}
-
-/// A two-sided execution backend: a batch [`Executor`] strategy paired with an
-/// [`IncrementalEngine`] lowering strategy.
-///
-/// Object-safe so front ends can hold `Arc<dyn Backend>`. The two canonical executors
-/// implement it directly (pairing each batch strategy with its incremental twin at the
-/// same shard count); [`PairedBackend`] mixes and matches.
-pub trait Backend: std::fmt::Debug + Send + Sync {
-    /// The batch-evaluation side.
-    fn executor(&self) -> Arc<dyn Executor>;
-
-    /// The incremental-lowering side.
-    fn incremental(&self) -> IncrementalEngine;
-
-    /// Short human-readable backend name.
-    fn name(&self) -> &'static str;
-}
-
-impl Backend for SequentialExecutor {
-    fn executor(&self) -> Arc<dyn Executor> {
-        Arc::new(SequentialExecutor)
-    }
-
-    fn incremental(&self) -> IncrementalEngine {
         IncrementalEngine::Sequential
     }
-
-    fn name(&self) -> &'static str {
-        "sequential"
-    }
-}
-
-impl Backend for ShardedExecutor {
-    fn executor(&self) -> Arc<dyn Executor> {
-        Arc::new(self.clone())
-    }
-
-    fn incremental(&self) -> IncrementalEngine {
-        IncrementalEngine::Sharded(self.shards)
-    }
-
-    fn name(&self) -> &'static str {
-        "sharded"
-    }
-}
-
-/// An explicit pairing of a batch executor with an incremental engine, for callers that
-/// want the two sides configured independently (e.g. sharded batch measurement feeding a
-/// sequential MCMC walk).
-#[derive(Debug, Clone)]
-pub struct PairedBackend {
-    batch: Arc<dyn Executor>,
-    incremental: IncrementalEngine,
-}
-
-impl PairedBackend {
-    /// Pairs the given strategies.
-    pub fn new(batch: Arc<dyn Executor>, incremental: IncrementalEngine) -> Self {
-        PairedBackend { batch, incremental }
-    }
-}
-
-impl Backend for PairedBackend {
-    fn executor(&self) -> Arc<dyn Executor> {
-        self.batch.clone()
-    }
-
-    fn incremental(&self) -> IncrementalEngine {
-        self.incremental
-    }
-
-    fn name(&self) -> &'static str {
-        "paired"
-    }
-}
-
-/// The process-default backend: [`default_executor`] (`WPINQ_THREADS`) on the batch side
-/// paired with [`IncrementalEngine::from_env`] (`WPINQ_INC_SHARDS`) on the incremental
-/// side.
-pub fn default_backend() -> Arc<dyn Backend> {
-    Arc::new(PairedBackend::new(
-        default_executor(),
-        IncrementalEngine::from_env(),
-    ))
 }
 
 /// The machine's available hardware parallelism (1 when it cannot be determined).
@@ -340,40 +186,7 @@ mod tests {
     }
 
     #[test]
-    fn backends_pair_batch_and_incremental_sides() {
-        assert_eq!(
-            Backend::incremental(&SequentialExecutor),
-            IncrementalEngine::Sequential
-        );
-        assert_eq!(
-            Backend::incremental(&ShardedExecutor::new(4)),
-            IncrementalEngine::Sharded(4)
-        );
-        assert_eq!(Backend::executor(&ShardedExecutor::new(4)).shard_count(), 4);
-        let mixed = PairedBackend::new(
-            Arc::new(ShardedExecutor::new(2)),
-            IncrementalEngine::Sequential,
-        );
-        assert_eq!(mixed.executor().shard_count(), 2);
-        assert_eq!(mixed.incremental(), IncrementalEngine::Sequential);
-        assert_eq!(mixed.name(), "paired");
-        assert_eq!(
-            IncrementalEngine::for_shards(3),
-            IncrementalEngine::Sharded(3)
-        );
-        assert_eq!(
-            IncrementalEngine::Sharded(500_000).shard_count(),
-            MAX_SHARDS
-        );
-        assert_eq!(IncrementalEngine::Sequential.shard_count(), 1);
-        assert_ne!(
-            IncrementalEngine::Sequential.name(),
-            IncrementalEngine::Sharded(2).name()
-        );
-    }
-
-    #[test]
-    fn pooled_and_scoped_executors_expose_their_strategy() {
+    fn pooled_executors_expose_their_strategy() {
         // Multi-shard executors share the process pool for their shard count.
         let a = ShardedExecutor::new(4);
         let b = ShardedExecutor::new(4);
@@ -386,10 +199,8 @@ mod tests {
         );
         // Single-shard evaluation is sequential, so no pool is held.
         assert!(ShardedExecutor::new(1).pool().is_none());
-        // The scoped reference strategy never pools, and the default trait impl is None.
-        assert!(ShardedExecutor::scoped(4).pool().is_none());
         assert!(Executor::pool(&SequentialExecutor).is_none());
-        // Cloning (as Backend::executor does) keeps the same pool handle.
+        // Cloning keeps the same pool handle.
         let cloned = a.clone();
         assert!(std::ptr::eq(a.pool().unwrap(), cloned.pool().unwrap()));
     }

@@ -8,7 +8,7 @@ use wpinq_core::aggregation::NoisyCounts;
 use wpinq_core::record::Record;
 use wpinq_dataflow::ScorerHandle;
 
-use super::{InputId, Plan, PlanBindings, ShardedStreamBindings, StreamBindings};
+use super::{InputId, Plan, PlanBindings, StreamBindings};
 
 /// A plan with a `NoisyCount(·, ε)` sink attached — the unit the privacy accountant
 /// reasons about.
@@ -150,32 +150,6 @@ impl<T: Record> Measurement<T> {
         targets: HashMap<T, f64>,
     ) -> ScorerHandle<T> {
         self.plan.lower(bindings).l1_scorer(targets)
-    }
-
-    /// [`lower_scorer`](Self::lower_scorer) onto the **sharded** incremental engine. The
-    /// returned handle is the same [`ScorerHandle`] type (its maintained distance is
-    /// bitwise identical to the sequential engine's), so scoring code is engine-agnostic.
-    pub fn lower_scorer_sharded(
-        &self,
-        bindings: &ShardedStreamBindings,
-        released: &NoisyCounts<T>,
-    ) -> ScorerHandle<T> {
-        self.lower_scorer_targets_sharded(
-            bindings,
-            released
-                .iter_observed()
-                .map(|(record, weight)| (record.clone(), weight))
-                .collect(),
-        )
-    }
-
-    /// [`lower_scorer_targets`](Self::lower_scorer_targets) onto the sharded engine.
-    pub fn lower_scorer_targets_sharded(
-        &self,
-        bindings: &ShardedStreamBindings,
-        targets: HashMap<T, f64>,
-    ) -> ScorerHandle<T> {
-        self.plan.lower_sharded(bindings).l1_scorer(targets)
     }
 }
 

@@ -13,7 +13,7 @@
 //!   [`wpinq_core::operators`]. *How* the fold runs is a pluggable [`Executor`]
 //!   ([`Plan::eval_with`]): the [`SequentialExecutor`] single-threaded reference, or the
 //!   [`ShardedExecutor`] which hash-partitions sources and evaluates shard-parallel with
-//!   bitwise-identical results (see the [`executor`](self) seam docs).
+//!   bitwise-identical results (see the [`Executor`] docs).
 //! * An **incremental lowering** ([`Plan::lower`]): bind each source to a dataflow
 //!   [`Stream`] through [`StreamBindings`] and compile the DAG into
 //!   the `wpinq-dataflow` operator graph, so deltas pushed at the inputs propagate to the
@@ -86,26 +86,25 @@ use std::sync::Arc;
 
 use wpinq_core::dataset::WeightedDataset;
 use wpinq_core::record::Record;
-use wpinq_core::shard::{ShardRunner, ShardedDataset};
+use wpinq_core::shard::{ShardedDataset, WorkerPool};
 use wpinq_core::value::{ExprRecord, Value, ValueType};
 use wpinq_dataflow::Stream;
 use wpinq_expr::{Expr, PlanSpec, ReduceSpec};
 
 pub use analyze::{AnalyzeReport, NodeStats, ResolveStats, KERNEL_ROWS_METRIC};
-pub use bindings::{PlanBindings, ShardedStreamBindings, StreamBindings};
+pub use bindings::{PlanBindings, StreamBindings};
 pub use executor::{
-    available_threads, default_backend, default_executor, executor_for_threads, Backend, Executor,
-    IncrementalEngine, PairedBackend, SequentialExecutor, ShardedExecutor, INC_SHARDS_ENV,
-    MAX_SHARDS, THREADS_ENV,
+    available_threads, default_executor, executor_for_threads, Executor, IncrementalEngine,
+    SequentialExecutor, ShardedExecutor, MAX_SHARDS, THREADS_ENV,
 };
 pub use measurement::{Measurement, ReleaseTrace};
 pub use optimize::{OptimizeLevel, PlanExplain, OPTIMIZE_ENV};
 pub use wire::{dataset_to_values, plan_from_spec, DynPlan, DynSource};
 
 use nodes::{
-    BatchCtx, BinaryKind, BinaryNode, CardCtx, EmptyNode, FilterNode, GroupByNode, InputNode,
-    JoinExprs, JoinNode, LowerCtx, LowerShardedCtx, MultCtx, PlanNode, PredFn, RenderCtx,
-    SelectManyExprs, SelectManyNode, SelectNode, ShardCtx, ShaveNode,
+    BatchCtx, BinaryKind, BinaryNode, EmptyNode, FilterNode, GroupByNode, InputNode, JoinExprs,
+    JoinNode, LowerCtx, MultCtx, PlanNode, PredFn, RenderCtx, SelectManyExprs, SelectManyNode,
+    SelectNode, ShardCtx, ShaveNode,
 };
 use optimize::{ClosureId, RefCounts, RewriteCtx};
 use wire::{decode_record, SpecCtx};
@@ -425,12 +424,7 @@ impl<T: Record> Plan<T> {
             // reference and the dataset moves out without a copy.
             return Arc::try_unwrap(shared).unwrap_or_else(|rc| (*rc).clone());
         }
-        // Dispatch per-shard work on the executor's persistent worker pool when it has
-        // one; scoped threads remain the reference path (bitwise identical either way).
-        let runner = executor
-            .pool()
-            .map_or(ShardRunner::Scoped, ShardRunner::Pooled);
-        let mut ctx = ShardCtx::new(bindings, shards, runner);
+        let mut ctx = ShardCtx::new(bindings, shards, shard_pool(executor));
         let sharded = plan.eval_shards_node(&mut ctx);
         drop(ctx);
         Arc::try_unwrap(sharded)
@@ -477,8 +471,8 @@ impl<T: Record> Plan<T> {
 
     /// EXPLAIN ANALYZE: evaluates the plan with the sequential reference executor and
     /// returns per-operator wall times, output cardinalities, the kernel (columnar vs
-    /// row) each expression operator chose, and the worker-pool dispatch / exchange
-    /// deltas over the evaluation. The evaluated data is discarded; callers that need
+    /// row) each expression operator chose, and the worker-pool dispatch delta
+    /// over the evaluation. The evaluated data is discarded; callers that need
     /// both go through [`Measurement::release_traced`](measurement::Measurement).
     pub fn explain_analyze(&self, bindings: &PlanBindings) -> AnalyzeReport {
         self.explain_analyze_with(bindings, &SequentialExecutor)
@@ -516,10 +510,7 @@ impl<T: Record> Plan<T> {
             let nodes = ctx.analyze.take().expect("analyze collector present");
             (out, nodes.finish())
         } else {
-            let runner = executor
-                .pool()
-                .map_or(ShardRunner::Scoped, ShardRunner::Pooled);
-            let mut ctx = ShardCtx::with_analyze(bindings, shards, runner);
+            let mut ctx = ShardCtx::with_analyze(bindings, shards, shard_pool(executor));
             let sharded = plan.eval_shards_node(&mut ctx);
             let nodes = ctx.analyze.take().expect("analyze collector present");
             drop(ctx);
@@ -528,7 +519,7 @@ impl<T: Record> Plan<T> {
                 .unwrap_or_else(|rc| rc.merged());
             (Arc::new(merged), nodes.finish())
         };
-        let (pool_dispatches, exchanges, resolved) = baseline.deltas();
+        let (pool_dispatches, resolved) = baseline.deltas();
         let report = AnalyzeReport {
             executor: if shards <= 1 {
                 "sequential".to_string()
@@ -538,7 +529,6 @@ impl<T: Record> Plan<T> {
             nodes,
             total_us: started.elapsed().as_micros() as u64,
             pool_dispatches,
-            exchanges,
             resolved,
         };
         (result, report)
@@ -586,17 +576,6 @@ impl<T: Record> Plan<T> {
         computed
     }
 
-    /// The memoised cardinality-estimate walk (the sharded lowering's cutover
-    /// calibration input; heuristic only, never affects results).
-    pub(crate) fn card_node(&self, ctx: &mut CardCtx<'_>) -> f64 {
-        if let Some(hit) = ctx.lookup(self.node_key()) {
-            return hit;
-        }
-        let card = self.node.estimate_card(ctx);
-        ctx.store(self.node_key(), card);
-        card
-    }
-
     /// Compiles the plan into the incremental dataflow graph rooted at the bound source
     /// streams, returning the output stream.
     ///
@@ -625,45 +604,6 @@ impl<T: Record> Plan<T> {
             return hit;
         }
         let lowered = self.node.lower(ctx);
-        ctx.store::<T>(self.node_key(), lowered.clone());
-        lowered
-    }
-
-    /// Compiles the plan onto the **sharded** incremental engine
-    /// ([`wpinq_dataflow::sharded`]): like [`lower`](Self::lower), but sources are bound
-    /// to [`ShardedStream`](wpinq_dataflow::ShardedStream)s and every compiled operator keeps hash-partitioned state,
-    /// processing delta batches on worker threads. Propagation is bitwise identical to
-    /// the sequential lowering for every shard count.
-    ///
-    /// # Panics
-    /// Panics if a source reached by the plan is unbound or bound at a different record
-    /// type.
-    pub fn lower_sharded(
-        &self,
-        bindings: &ShardedStreamBindings,
-    ) -> wpinq_dataflow::ShardedStream<T> {
-        self.lower_sharded_opt(bindings, OptimizeLevel::from_env())
-    }
-
-    /// [`lower_sharded`](Self::lower_sharded) at an explicit [`OptimizeLevel`].
-    pub fn lower_sharded_opt(
-        &self,
-        bindings: &ShardedStreamBindings,
-        level: OptimizeLevel,
-    ) -> wpinq_dataflow::ShardedStream<T> {
-        let plan = optimize::rewrite_plan(self, level, None);
-        let mut ctx = LowerShardedCtx::new(bindings);
-        plan.lower_sharded_node(&mut ctx)
-    }
-
-    pub(crate) fn lower_sharded_node(
-        &self,
-        ctx: &mut LowerShardedCtx<'_>,
-    ) -> wpinq_dataflow::ShardedStream<T> {
-        if let Some(hit) = ctx.lookup::<T>(self.node_key()) {
-            return hit;
-        }
-        let lowered = self.node.lower_sharded(ctx);
         ctx.store::<T>(self.node_key(), lowered.clone());
         lowered
     }
@@ -789,6 +729,13 @@ impl<T: Record> Plan<T> {
         ctx.store(self.node_key(), computed.clone());
         computed
     }
+}
+
+/// The worker pool a multi-shard evaluation dispatches on.
+fn shard_pool(executor: &dyn Executor) -> &WorkerPool {
+    executor
+        .pool()
+        .expect("an executor with more than one shard owns a worker pool")
 }
 
 /// Expression-built plan construction, available for record types the expression

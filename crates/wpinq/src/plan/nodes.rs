@@ -9,7 +9,7 @@
 //! recurse through their parents.
 //!
 //! Closures are stored as `Arc<dyn Fn … + Send + Sync>` so the sharded executor can call
-//! them from `std::thread::scope` workers by reference.
+//! them from its worker-pool threads by reference.
 
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
@@ -18,15 +18,14 @@ use std::sync::Arc;
 use wpinq_core::dataset::WeightedDataset;
 use wpinq_core::operators as batch;
 use wpinq_core::record::Record;
-use wpinq_core::shard::{self, ShardRunner, ShardedDataset};
+use wpinq_core::shard::{self, ShardedDataset, WorkerPool};
 use wpinq_core::value::{Value, ValueType};
-use wpinq_dataflow::{DataflowInput, ShardedInput, ShardedStream, Stream, DEFAULT_INLINE_CUTOVER};
+use wpinq_dataflow::{DataflowInput, Stream};
 use wpinq_expr::{Expr, ReduceSpec, SpecNode};
 
 use super::analyze::{self, AnalyzeCollector};
-use super::bindings::{PlanBindings, ShardedStreamBindings, StreamBindings};
+use super::bindings::{PlanBindings, StreamBindings};
 use super::columnar;
-use super::executor::available_threads;
 use super::optimize::{ClosureId, NodeShape, OpTag, RefCounts, RewriteCtx};
 use super::wire::SpecCtx;
 use super::{InputId, Plan};
@@ -92,29 +91,6 @@ impl<T> Clone for SelectManyExprs<T> {
 /// (join-ordering heuristic only; never affects results).
 const FANOUT_ESTIMATE: f64 = 4.0;
 
-/// Assumed record count of a source with no size hint when estimating cardinalities for
-/// the sharded lowering's cutover calibration (heuristic only; never affects results).
-const DEFAULT_SOURCE_CARD: f64 = 1024.0;
-
-/// Floor for a calibrated inline/parallel cutover. Keeps the small MCMC swap batches
-/// (8 deltas per edge swap) inline even under the most aggressive calibration — channel
-/// round-trips always dominate at that scale.
-const MIN_CALIBRATED_CUTOVER: usize = 32;
-
-/// Scales the default inline/parallel cutover by an operator's estimated per-delta cost:
-/// an operator expected to do `per_delta_cost`× the work of a plain map amortises the
-/// pool's dispatch overhead that much sooner, so its cutover drops proportionally
-/// (floored at [`MIN_CALIBRATED_CUTOVER`]). On effectively single-core hosts the default
-/// stays in force — fanning out earlier cannot help without parallel hardware. Purely a
-/// scheduling choice: results are bitwise identical on either side of the cutover.
-fn calibrated_cutover(per_delta_cost: f64) -> usize {
-    let base = DEFAULT_INLINE_CUTOVER;
-    if available_threads() <= 1 || !per_delta_cost.is_finite() || per_delta_cost <= 1.0 {
-        return base;
-    }
-    ((base as f64 / per_delta_cost).ceil() as usize).max(MIN_CALIBRATED_CUTOVER)
-}
-
 /// Behaviour of one plan node, dispatched through `Arc<dyn PlanNode<T>>`.
 ///
 /// `Send + Sync` is a supertrait so `Plan<T>` itself is `Send + Sync`: every payload a
@@ -133,10 +109,6 @@ pub(crate) trait PlanNode<T: Record>: Send + Sync {
 
     /// Lowers this node onto the incremental dataflow graph.
     fn lower(&self, ctx: &mut LowerCtx<'_>) -> Stream<T>;
-
-    /// Lowers this node onto the **sharded** incremental dataflow graph (the parallel
-    /// engine in `wpinq_dataflow::sharded`; parents via `Plan::lower_sharded_node`).
-    fn lower_sharded(&self, ctx: &mut LowerShardedCtx<'_>) -> ShardedStream<T>;
 
     /// Sums the source multiplicities of this node's parents (one per reference).
     fn multiplicities(&self, ctx: &mut MultCtx) -> BTreeMap<InputId, u32>;
@@ -177,11 +149,6 @@ pub(crate) trait PlanNode<T: Record>: Send + Sync {
     fn sinks_filters(&self, _ctx: &RewriteCtx<'_>) -> bool {
         false
     }
-
-    /// Estimates this node's output record count (parents via `Plan::card_node` for
-    /// memoisation). Drives the sharded lowering's per-operator inline/parallel cutover
-    /// calibration — a heuristic scheduling input that never affects results.
-    fn estimate_card(&self, ctx: &mut CardCtx<'_>) -> f64;
 
     /// The input id when this node is a source, `None` otherwise.
     fn as_input(&self) -> Option<InputId> {
@@ -337,20 +304,18 @@ impl<'a> BatchCtx<'a> {
 pub(crate) struct ShardCtx<'a> {
     bindings: &'a PlanBindings,
     nshards: usize,
-    /// How per-shard work is dispatched: on the executor's persistent [`WorkerPool`]
-    /// (`ShardRunner::Pooled`) or on freshly scoped threads (`ShardRunner::Scoped`, the
-    /// reference path). Both produce bitwise-identical results.
-    runner: ShardRunner<'a>,
+    /// The executor's persistent worker pool, on which per-shard work is dispatched.
+    pool: &'a WorkerPool,
     memo: HashMap<usize, Box<dyn Any>>,
     pub(crate) analyze: Option<AnalyzeCollector>,
 }
 
 impl<'a> ShardCtx<'a> {
-    pub(crate) fn new(bindings: &'a PlanBindings, nshards: usize, runner: ShardRunner<'a>) -> Self {
+    pub(crate) fn new(bindings: &'a PlanBindings, nshards: usize, pool: &'a WorkerPool) -> Self {
         ShardCtx {
             bindings,
             nshards: nshards.max(1),
-            runner,
+            pool,
             memo: HashMap::new(),
             analyze: None,
         }
@@ -359,9 +324,9 @@ impl<'a> ShardCtx<'a> {
     pub(crate) fn with_analyze(
         bindings: &'a PlanBindings,
         nshards: usize,
-        runner: ShardRunner<'a>,
+        pool: &'a WorkerPool,
     ) -> Self {
-        let mut ctx = ShardCtx::new(bindings, nshards, runner);
+        let mut ctx = ShardCtx::new(bindings, nshards, pool);
         ctx.analyze = Some(AnalyzeCollector::new());
         ctx
     }
@@ -376,8 +341,8 @@ impl<'a> ShardCtx<'a> {
         }
     }
 
-    pub(crate) fn runner(&self) -> ShardRunner<'a> {
-        self.runner
+    pub(crate) fn pool(&self) -> &'a WorkerPool {
+        self.pool
     }
 
     pub(crate) fn lookup<T: Record>(&self, key: usize) -> Option<Arc<ShardedDataset<T>>> {
@@ -428,84 +393,6 @@ impl<'a> LowerCtx<'a> {
 
     fn input<T: Record>(&self, id: InputId) -> Stream<T> {
         self.bindings.get::<T>(id)
-    }
-}
-
-/// Context of one sharded lowering: sharded source streams plus a memo of
-/// already-lowered nodes (all co-sharded over the binding set's shard count), and a
-/// cardinality-estimation context feeding the per-operator cutover calibration.
-pub(crate) struct LowerShardedCtx<'a> {
-    bindings: &'a ShardedStreamBindings,
-    cards: CardCtx<'a>,
-    memo: HashMap<usize, Box<dyn Any>>,
-}
-
-impl<'a> LowerShardedCtx<'a> {
-    pub(crate) fn new(bindings: &'a ShardedStreamBindings) -> Self {
-        LowerShardedCtx {
-            bindings,
-            cards: CardCtx::new(bindings.size_hints()),
-            memo: HashMap::new(),
-        }
-    }
-
-    /// The estimated record count flowing out of `plan` (memoised per node).
-    fn card_of<T: Record>(&mut self, plan: &Plan<T>) -> f64 {
-        plan.card_node(&mut self.cards)
-    }
-
-    pub(crate) fn lookup<T: Record>(&self, key: usize) -> Option<ShardedStream<T>> {
-        self.memo.get(&key).map(|any| {
-            any.downcast_ref::<ShardedStream<T>>()
-                .expect("plan memo entry has the node's record type")
-                .clone()
-        })
-    }
-
-    pub(crate) fn store<T: Record>(&mut self, key: usize, value: ShardedStream<T>) {
-        self.memo.insert(key, Box::new(value));
-    }
-
-    fn input<T: Record>(&self, id: InputId) -> ShardedStream<T> {
-        self.bindings.get::<T>(id)
-    }
-
-    fn nshards(&self) -> usize {
-        self.bindings.num_shards()
-    }
-}
-
-/// Context of one cardinality estimation: source size hints plus a memo of
-/// already-estimated nodes. Kept separate from the optimizer's `RewriteCtx` cardinality
-/// map on purpose: feeding source sizes into the rewrite would enable join input
-/// reordering for the sharded lowering only, and the two incremental engines must lower
-/// the *same* rewritten plan to stay bitwise comparable.
-pub(crate) struct CardCtx<'a> {
-    sizes: &'a HashMap<InputId, usize>,
-    memo: HashMap<usize, f64>,
-}
-
-impl<'a> CardCtx<'a> {
-    pub(crate) fn new(sizes: &'a HashMap<InputId, usize>) -> Self {
-        CardCtx {
-            sizes,
-            memo: HashMap::new(),
-        }
-    }
-
-    pub(crate) fn lookup(&self, key: usize) -> Option<f64> {
-        self.memo.get(&key).copied()
-    }
-
-    pub(crate) fn store(&mut self, key: usize, card: f64) {
-        self.memo.insert(key, card);
-    }
-
-    fn source_size(&self, id: InputId) -> f64 {
-        self.sizes
-            .get(&id)
-            .map(|&n| n as f64)
-            .unwrap_or(DEFAULT_SOURCE_CARD)
     }
 }
 
@@ -619,10 +506,6 @@ impl<T: Record> PlanNode<T> for InputNode<T> {
         ctx.input::<T>(self.id)
     }
 
-    fn lower_sharded(&self, ctx: &mut LowerShardedCtx<'_>) -> ShardedStream<T> {
-        ctx.input::<T>(self.id)
-    }
-
     fn multiplicities(&self, _ctx: &mut MultCtx) -> BTreeMap<InputId, u32> {
         BTreeMap::from([(self.id, 1)])
     }
@@ -634,10 +517,6 @@ impl<T: Record> PlanNode<T> for InputNode<T> {
         let card = ctx.source_size(self.id);
         let original = this.clone();
         ctx.cons::<T>(shape, card, move || original)
-    }
-
-    fn estimate_card(&self, ctx: &mut CardCtx<'_>) -> f64 {
-        ctx.source_size(self.id)
     }
 
     fn as_input(&self) -> Option<InputId> {
@@ -701,12 +580,6 @@ impl<T: Record> PlanNode<T> for EmptyNode<T> {
         stream
     }
 
-    fn lower_sharded(&self, ctx: &mut LowerShardedCtx<'_>) -> ShardedStream<T> {
-        // Same trick, co-sharded with the rest of the graph.
-        let (_input, stream) = ShardedInput::new(ctx.nshards());
-        stream
-    }
-
     fn multiplicities(&self, _ctx: &mut MultCtx) -> BTreeMap<InputId, u32> {
         BTreeMap::new()
     }
@@ -717,10 +590,6 @@ impl<T: Record> PlanNode<T> for EmptyNode<T> {
         let shape = NodeShape::new::<T>(OpTag::Empty, Vec::new(), Vec::new(), 0);
         let original = this.clone();
         ctx.cons::<T>(shape, 0.0, move || original)
-    }
-
-    fn estimate_card(&self, _ctx: &mut CardCtx<'_>) -> f64 {
-        0.0
     }
 
     fn describe(&self) -> &'static str {
@@ -819,23 +688,18 @@ impl<T: Record, U: Record> PlanNode<U> for SelectNode<T, U> {
         let parent = self.parent.eval_shards_node(ctx);
         if let Some(expr) = &self.expr {
             let rows = parent.len() as u64;
-            if let Some(out) = columnar::try_select_shards(&parent, expr, ctx.runner()) {
+            if let Some(out) = columnar::try_select_shards(&parent, expr, ctx.pool()) {
                 ctx.note_kernel("columnar", rows);
                 return Arc::new(out);
             }
             ctx.note_kernel("row", rows);
         }
-        Arc::new(shard::select(&parent, &*self.f, ctx.runner()))
+        Arc::new(shard::select(&parent, &*self.f, ctx.pool()))
     }
 
     fn lower(&self, ctx: &mut LowerCtx<'_>) -> Stream<U> {
         let f = self.f.clone();
         self.parent.lower_node(ctx).select(move |r| f(r))
-    }
-
-    fn lower_sharded(&self, ctx: &mut LowerShardedCtx<'_>) -> ShardedStream<U> {
-        let f = self.f.clone();
-        self.parent.lower_sharded_node(ctx).select(move |r| f(r))
     }
 
     fn multiplicities(&self, ctx: &mut MultCtx) -> BTreeMap<InputId, u32> {
@@ -891,10 +755,6 @@ impl<T: Record, U: Record> PlanNode<U> for SelectNode<T, U> {
 
     fn sinks_filters(&self, ctx: &RewriteCtx<'_>) -> bool {
         self.parent.sinks_filters(ctx)
-    }
-
-    fn estimate_card(&self, ctx: &mut CardCtx<'_>) -> f64 {
-        self.parent.card_node(ctx)
     }
 
     fn describe(&self) -> &'static str {
@@ -986,25 +846,18 @@ impl<T: Record> PlanNode<T> for FilterNode<T> {
         let parent = self.parent.eval_shards_node(ctx);
         if let Some(expr) = &self.expr {
             let rows = parent.len() as u64;
-            if let Some(out) = columnar::try_filter_shards(&parent, expr, ctx.runner()) {
+            if let Some(out) = columnar::try_filter_shards(&parent, expr, ctx.pool()) {
                 ctx.note_kernel("columnar", rows);
                 return Arc::new(out);
             }
             ctx.note_kernel("row", rows);
         }
-        Arc::new(shard::filter(&parent, &*self.predicate, ctx.runner()))
+        Arc::new(shard::filter(&parent, &*self.predicate, ctx.pool()))
     }
 
     fn lower(&self, ctx: &mut LowerCtx<'_>) -> Stream<T> {
         let predicate = self.predicate.clone();
         self.parent.lower_node(ctx).filter(move |r| predicate(r))
-    }
-
-    fn lower_sharded(&self, ctx: &mut LowerShardedCtx<'_>) -> ShardedStream<T> {
-        let predicate = self.predicate.clone();
-        self.parent
-            .lower_sharded_node(ctx)
-            .filter(move |r| predicate(r))
     }
 
     fn multiplicities(&self, ctx: &mut MultCtx) -> BTreeMap<InputId, u32> {
@@ -1048,10 +901,6 @@ impl<T: Record> PlanNode<T> for FilterNode<T> {
 
     fn sinks_filters(&self, _ctx: &RewriteCtx<'_>) -> bool {
         true
-    }
-
-    fn estimate_card(&self, ctx: &mut CardCtx<'_>) -> f64 {
-        self.parent.card_node(ctx)
     }
 
     fn describe(&self) -> &'static str {
@@ -1185,30 +1034,19 @@ impl<T: Record, U: Record> PlanNode<U> for SelectManyNode<T, U> {
         if let Some(payload) = &self.exprs {
             let rows = parent.len() as u64;
             if let Some(out) =
-                columnar::try_select_many_unit_shards(&parent, &payload.exprs, ctx.runner())
+                columnar::try_select_many_unit_shards(&parent, &payload.exprs, ctx.pool())
             {
                 ctx.note_kernel("columnar", rows);
                 return Arc::new(out);
             }
             ctx.note_kernel("row", rows);
         }
-        Arc::new(shard::select_many(&parent, &*self.f, ctx.runner()))
+        Arc::new(shard::select_many(&parent, &*self.f, ctx.pool()))
     }
 
     fn lower(&self, ctx: &mut LowerCtx<'_>) -> Stream<U> {
         let f = self.f.clone();
         self.parent.lower_node(ctx).select_many(move |r| f(r))
-    }
-
-    fn lower_sharded(&self, ctx: &mut LowerShardedCtx<'_>) -> ShardedStream<U> {
-        // Each input delta expands into ~FANOUT_ESTIMATE productions, so the operator
-        // amortises pool dispatch sooner than a plain map: calibrate its cutover down.
-        let cutover = calibrated_cutover(FANOUT_ESTIMATE);
-        let f = self.f.clone();
-        self.parent
-            .lower_sharded_node(ctx)
-            .with_cutover(cutover)
-            .select_many(move |r| f(r))
     }
 
     fn multiplicities(&self, ctx: &mut MultCtx) -> BTreeMap<InputId, u32> {
@@ -1264,10 +1102,6 @@ impl<T: Record, U: Record> PlanNode<U> for SelectManyNode<T, U> {
             .parent
             .rewrite_with_filter(&q_closure, &q_id, Some(&q), ctx);
         Some(self.cons_over(inner, None, ctx))
-    }
-
-    fn estimate_card(&self, ctx: &mut CardCtx<'_>) -> f64 {
-        self.parent.card_node(ctx) * FANOUT_ESTIMATE
     }
 
     fn describe(&self) -> &'static str {
@@ -1384,7 +1218,7 @@ impl<T: Record, K: Record, R: Record> PlanNode<(K, R)> for GroupByNode<T, K, R> 
         let parent = self.parent.eval_shards_node(ctx);
         if let Some((key, reduce)) = &self.exprs {
             let rows = parent.len() as u64;
-            if let Some(out) = columnar::try_group_by_shards(&parent, key, reduce, ctx.runner()) {
+            if let Some(out) = columnar::try_group_by_shards(&parent, key, reduce, ctx.pool()) {
                 ctx.note_kernel("columnar", rows);
                 return Arc::new(out);
             }
@@ -1394,7 +1228,7 @@ impl<T: Record, K: Record, R: Record> PlanNode<(K, R)> for GroupByNode<T, K, R> 
             &parent,
             &*self.key,
             &*self.reduce,
-            ctx.runner(),
+            ctx.pool(),
         ))
     }
 
@@ -1403,19 +1237,6 @@ impl<T: Record, K: Record, R: Record> PlanNode<(K, R)> for GroupByNode<T, K, R> 
         let reduce = self.reduce.clone();
         self.parent
             .lower_node(ctx)
-            .group_by(move |r| key(r), move |g| reduce(g))
-    }
-
-    fn lower_sharded(&self, ctx: &mut LowerShardedCtx<'_>) -> ShardedStream<(K, R)> {
-        // A delta touching a group re-reduces the whole group: per-delta cost grows with
-        // the expected group population, estimated as sqrt of the input cardinality.
-        let cost = ctx.card_of(&self.parent).sqrt().max(1.0);
-        let cutover = calibrated_cutover(cost);
-        let key = self.key.clone();
-        let reduce = self.reduce.clone();
-        self.parent
-            .lower_sharded_node(ctx)
-            .with_cutover(cutover)
             .group_by(move |r| key(r), move |g| reduce(g))
     }
 
@@ -1447,10 +1268,6 @@ impl<T: Record, K: Record, R: Record> PlanNode<(K, R)> for GroupByNode<T, K, R> 
                 )))
             })
         })
-    }
-
-    fn estimate_card(&self, ctx: &mut CardCtx<'_>) -> f64 {
-        self.parent.card_node(ctx)
     }
 
     fn describe(&self) -> &'static str {
@@ -1538,22 +1355,12 @@ impl<T: Record> PlanNode<(T, u64)> for ShaveNode<T> {
 
     fn eval_shards(&self, ctx: &mut ShardCtx<'_>) -> Arc<ShardedDataset<(T, u64)>> {
         let parent = self.parent.eval_shards_node(ctx);
-        Arc::new(shard::shave(&parent, &*self.schedule, ctx.runner()))
+        Arc::new(shard::shave(&parent, &*self.schedule, ctx.pool()))
     }
 
     fn lower(&self, ctx: &mut LowerCtx<'_>) -> Stream<(T, u64)> {
         let schedule = self.schedule.clone();
         self.parent.lower_node(ctx).shave(move |r| schedule(r))
-    }
-
-    fn lower_sharded(&self, ctx: &mut LowerShardedCtx<'_>) -> ShardedStream<(T, u64)> {
-        // Like SelectMany: each delta expands into ~FANOUT_ESTIMATE weight slices.
-        let cutover = calibrated_cutover(FANOUT_ESTIMATE);
-        let schedule = self.schedule.clone();
-        self.parent
-            .lower_sharded_node(ctx)
-            .with_cutover(cutover)
-            .shave(move |r| schedule(r))
     }
 
     fn multiplicities(&self, ctx: &mut MultCtx) -> BTreeMap<InputId, u32> {
@@ -1586,10 +1393,6 @@ impl<T: Record> PlanNode<(T, u64)> for ShaveNode<T> {
                 )))
             })
         })
-    }
-
-    fn estimate_card(&self, ctx: &mut CardCtx<'_>) -> f64 {
-        self.parent.card_node(ctx) * FANOUT_ESTIMATE
     }
 
     fn describe(&self) -> &'static str {
@@ -1835,7 +1638,7 @@ impl<A: Record, B: Record, K: Record, R: Record> PlanNode<R> for JoinNode<A, B, 
                 &payload.key_left,
                 &payload.key_right,
                 &payload.result,
-                ctx.runner(),
+                ctx.pool(),
             ) {
                 ctx.note_kernel("columnar", rows);
                 return Arc::new(out);
@@ -1848,35 +1651,13 @@ impl<A: Record, B: Record, K: Record, R: Record> PlanNode<R> for JoinNode<A, B, 
             &*self.key_left,
             &*self.key_right,
             &*self.result,
-            ctx.runner(),
+            ctx.pool(),
         ))
     }
 
     fn lower(&self, ctx: &mut LowerCtx<'_>) -> Stream<R> {
         let left = self.left.lower_node(ctx);
         let right = self.right.lower_node(ctx);
-        let key_left = self.key_left.clone();
-        let key_right = self.key_right.clone();
-        let result = self.result.clone();
-        left.join(
-            &right,
-            move |a| key_left(a),
-            move |b| key_right(b),
-            move |a, b| result(a, b),
-        )
-    }
-
-    fn lower_sharded(&self, ctx: &mut LowerShardedCtx<'_>) -> ShardedStream<R> {
-        // A delta re-joins its whole key group across both inputs: per-delta cost grows
-        // with the expected matched population, estimated as sqrt of the combined input
-        // cardinality. Both inputs get the same calibrated cutover (the operator reads
-        // the cutover of whichever stream a batch arrives on).
-        let cost = (ctx.card_of(&self.left) + ctx.card_of(&self.right))
-            .sqrt()
-            .max(1.0);
-        let cutover = calibrated_cutover(cost);
-        let left = self.left.lower_sharded_node(ctx).with_cutover(cutover);
-        let right = self.right.lower_sharded_node(ctx).with_cutover(cutover);
         let key_left = self.key_left.clone();
         let key_right = self.key_right.clone();
         let result = self.result.clone();
@@ -1961,10 +1742,6 @@ impl<A: Record, B: Record, K: Record, R: Record> PlanNode<R> for JoinNode<A, B, 
             self.right
                 .rewrite_with_filter(&right_closure, &right_id, Some(&right_pred), ctx);
         Some(self.cons_over(left, right, None, ctx))
-    }
-
-    fn estimate_card(&self, ctx: &mut CardCtx<'_>) -> f64 {
-        self.left.card_node(ctx) + self.right.card_node(ctx)
     }
 
     fn describe(&self) -> &'static str {
@@ -2102,29 +1879,18 @@ impl<T: Record> PlanNode<T> for BinaryNode<T> {
     fn eval_shards(&self, ctx: &mut ShardCtx<'_>) -> Arc<ShardedDataset<T>> {
         let left = self.left.eval_shards_node(ctx);
         let right = self.right.eval_shards_node(ctx);
-        let runner = ctx.runner();
+        let pool = ctx.pool();
         Arc::new(match self.kind {
-            BinaryKind::Union => shard::union(&left, &right, runner),
-            BinaryKind::Intersect => shard::intersect(&left, &right, runner),
-            BinaryKind::Concat => shard::concat(&left, &right, runner),
-            BinaryKind::Except => shard::except(&left, &right, runner),
+            BinaryKind::Union => shard::union(&left, &right, pool),
+            BinaryKind::Intersect => shard::intersect(&left, &right, pool),
+            BinaryKind::Concat => shard::concat(&left, &right, pool),
+            BinaryKind::Except => shard::except(&left, &right, pool),
         })
     }
 
     fn lower(&self, ctx: &mut LowerCtx<'_>) -> Stream<T> {
         let left = self.left.lower_node(ctx);
         let right = self.right.lower_node(ctx);
-        match self.kind {
-            BinaryKind::Union => left.union(&right),
-            BinaryKind::Intersect => left.intersect(&right),
-            BinaryKind::Concat => left.concat(&right),
-            BinaryKind::Except => left.except(&right),
-        }
-    }
-
-    fn lower_sharded(&self, ctx: &mut LowerShardedCtx<'_>) -> ShardedStream<T> {
-        let left = self.left.lower_sharded_node(ctx);
-        let right = self.right.lower_sharded_node(ctx);
         match self.kind {
             BinaryKind::Union => left.union(&right),
             BinaryKind::Intersect => left.intersect(&right),
@@ -2178,15 +1944,6 @@ impl<T: Record> PlanNode<T> for BinaryNode<T> {
 
     fn sinks_filters(&self, ctx: &RewriteCtx<'_>) -> bool {
         self.left.sinks_filters(ctx) || self.right.sinks_filters(ctx)
-    }
-
-    fn estimate_card(&self, ctx: &mut CardCtx<'_>) -> f64 {
-        let (card_l, card_r) = (self.left.card_node(ctx), self.right.card_node(ctx));
-        match self.kind {
-            BinaryKind::Intersect => card_l.min(card_r),
-            BinaryKind::Except => card_l,
-            BinaryKind::Union | BinaryKind::Concat => card_l + card_r,
-        }
     }
 
     fn describe(&self) -> &'static str {

@@ -23,8 +23,7 @@ use crate::budget::BudgetHandle;
 use crate::dataset::WeightedDataset;
 use crate::error::WpinqError;
 use crate::plan::{
-    default_executor, Backend, Executor, IncrementalEngine, InputId, OptimizeLevel, Plan,
-    PlanBindings, PlanExplain,
+    default_executor, Executor, InputId, OptimizeLevel, Plan, PlanBindings, PlanExplain,
 };
 use crate::protected::SourceId;
 use crate::record::Record;
@@ -53,7 +52,6 @@ pub struct Queryable<T: Record> {
     bindings: PlanBindings,
     sources: Vec<SourceBinding>,
     executor: Arc<dyn Executor>,
-    incremental: IncrementalEngine,
     optimize: OptimizeLevel,
     optimized: OnceCell<Plan<T>>,
     materialized: OnceCell<Arc<WeightedDataset<T>>>,
@@ -89,7 +87,6 @@ impl<T: Record> Queryable<T> {
                 budget,
             }],
             executor: default_executor(),
-            incremental: IncrementalEngine::from_env(),
             optimize: OptimizeLevel::from_env(),
             optimized: OnceCell::new(),
             materialized: OnceCell::new(),
@@ -108,7 +105,6 @@ impl<T: Record> Queryable<T> {
             bindings,
             sources: Vec::new(),
             executor: default_executor(),
-            incremental: IncrementalEngine::from_env(),
             optimize: OptimizeLevel::from_env(),
             optimized: OnceCell::new(),
             materialized: OnceCell::new(),
@@ -133,30 +129,6 @@ impl<T: Record> Queryable<T> {
     /// The evaluation strategy this queryable (and everything derived from it) uses.
     pub fn executor(&self) -> &Arc<dyn Executor> {
         &self.executor
-    }
-
-    /// Replaces **both** sides of the execution strategy from a two-sided
-    /// [`Backend`]: the batch executor used for measurement, and the incremental engine
-    /// recorded for downstream consumers that lower this queryable's plans onto a
-    /// candidate dataflow (the MCMC walk). Every backend computes bitwise-identical
-    /// data on both sides, so this never changes measurement or scoring semantics.
-    pub fn with_backend(mut self, backend: &dyn Backend) -> Self {
-        self.executor = backend.executor();
-        self.incremental = backend.incremental();
-        self.materialized = OnceCell::new();
-        self
-    }
-
-    /// Replaces only the incremental-engine side (see [`with_backend`](Self::with_backend)).
-    pub fn with_incremental(mut self, engine: IncrementalEngine) -> Self {
-        self.incremental = engine;
-        self
-    }
-
-    /// The incremental engine this queryable advertises to scoring consumers
-    /// (default: the `WPINQ_INC_SHARDS` environment variable).
-    pub fn incremental_engine(&self) -> IncrementalEngine {
-        self.incremental
     }
 
     /// Replaces the [`OptimizeLevel`] of this queryable and everything derived from it
@@ -202,7 +174,6 @@ impl<T: Record> Queryable<T> {
             bindings: self.bindings.clone(),
             sources: self.sources.clone(),
             executor: self.executor.clone(),
-            incremental: self.incremental,
             optimize: self.optimize,
             optimized: OnceCell::new(),
             materialized: OnceCell::new(),
@@ -223,7 +194,6 @@ impl<T: Record> Queryable<T> {
             bindings,
             sources,
             executor: self.executor.clone(),
-            incremental: self.incremental,
             // Reconcile conservatively: if either side was pinned to a lower level
             // (e.g. the documented `OptimizeLevel::None` A/B baseline), the combined
             // query keeps it — silently adopting the left side's higher level would

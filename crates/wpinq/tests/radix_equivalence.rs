@@ -12,6 +12,11 @@
 //! The random-plan property stays small (it pins the packed/hash seams); the scale test
 //! pushes tens of thousands of rows through one merge so the radix partitioner really
 //! runs (it only engages above ~8k rows per merge).
+//!
+//! Both tests flip the process-wide columnar/radix overrides, and the test harness runs
+//! tests on parallel threads, so each holds [`OVERRIDES`] for its whole run.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use proptest::prelude::*;
 
@@ -23,6 +28,15 @@ use wpinq::plan::{
 use wpinq::{Expr, Plan, ReduceSpec, Value, WeightedDataset};
 
 type Rec = (u64, u64);
+
+/// Serializes the tests that flip the process-wide overrides: without it, one test's
+/// `run(.., None)` can switch the other's columnar run to the row interpreter mid-way.
+static OVERRIDES: Mutex<()> = Mutex::new(());
+
+/// Takes [`OVERRIDES`], recovering it if a failed test poisoned it.
+fn lock_overrides() -> MutexGuard<'static, ()> {
+    OVERRIDES.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Restores the process-wide overrides on scope exit, including the early returns
 /// `prop_assert!` failures take.
@@ -128,6 +142,7 @@ proptest! {
         k in 0u64..5,
         data in skewed_dataset(),
     ) {
+        let _serial = lock_overrides();
         let _restore = OverrideGuard;
         let source = Plan::<Rec>::source_expr("records");
         let plan = resolver_heavy_plan(&source, k);
@@ -159,6 +174,7 @@ proptest! {
 /// negligible by every resolver.
 #[test]
 fn radix_partitioner_is_bitwise_invisible_at_scale() {
+    let _serial = lock_overrides();
     let _restore = OverrideGuard;
     let mut data = WeightedDataset::new();
     for i in 0u64..30_000 {

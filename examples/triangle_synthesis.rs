@@ -36,7 +36,6 @@ fn main() {
         triangle_query: TriangleQuery::TbI,
         score_degrees: false,
         threads: 0,
-        inc_shards: 0,
     };
     println!(
         "measuring with epsilon = {} (total privacy cost {:.1}), then running {} MCMC steps…",

@@ -21,7 +21,6 @@ fn tbi_synthesis_moves_triangles_towards_the_secret_graph() {
         triangle_query: TriangleQuery::TbI,
         score_degrees: false,
         threads: 0,
-        inc_shards: 0,
     };
     let mut rng = StdRng::seed_from_u64(2);
     let result = wpinq_mcmc::synthesis::synthesize(&secret, &config, &mut rng).unwrap();
@@ -64,7 +63,6 @@ fn synthesis_on_a_random_graph_does_not_hallucinate_triangles() {
         triangle_query: TriangleQuery::TbI,
         score_degrees: false,
         threads: 0,
-        inc_shards: 0,
     };
     let real = wpinq_mcmc::synthesis::synthesize(&secret, &config, &mut rng).unwrap();
     let control = wpinq_mcmc::synthesis::synthesize(&random, &config, &mut rng).unwrap();
@@ -95,7 +93,6 @@ fn the_edge_swap_walk_preserves_degree_structure() {
         triangle_query: TriangleQuery::TbI,
         score_degrees: true,
         threads: 0,
-        inc_shards: 0,
     };
     let mut rng = StdRng::seed_from_u64(6);
     let result = wpinq_mcmc::synthesis::synthesize(&secret, &config, &mut rng).unwrap();
@@ -123,7 +120,6 @@ fn bucketed_tbd_synthesis_runs_end_to_end() {
         triangle_query: TriangleQuery::TbD { bucket: 10 },
         score_degrees: false,
         threads: 0,
-        inc_shards: 0,
     };
     let mut rng = StdRng::seed_from_u64(8);
     let result = wpinq_mcmc::synthesis::synthesize(&secret, &config, &mut rng).unwrap();

@@ -115,7 +115,6 @@ fn the_full_synthesis_workflow_spends_exactly_its_planned_budget() {
         triangle_query: TriangleQuery::TbI,
         score_degrees: false,
         threads: 0,
-        inc_shards: 0,
     };
     let mut rng = StdRng::seed_from_u64(10);
     let result = wpinq_mcmc::synthesis::synthesize(&graph, &config, &mut rng).unwrap();
