@@ -314,7 +314,7 @@ fn write_json(path: &str, mode: &str, rows: &[Row]) -> std::io::Result<()> {
 
 /// Kernel-granularity resolve microbench: one collapsing projection (the whole plan is a
 /// single merge of duplicate-heavy contributions), timed under each resolution strategy —
-/// hash accumulation (row interpreter), global packed sort-merge (`WPINQ_RADIX=0`), and
+/// hash accumulation (row interpreter), global packed sort-merge (`set_radix_override(Some(false))`), and
 /// radix partition + per-partition sort (the default). All three are asserted bitwise
 /// identical before timing is reported.
 fn resolve_microbench(data: &WeightedDataset<Rec>, reps: usize, rows: &mut Vec<Row>) {

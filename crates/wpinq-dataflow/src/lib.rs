@@ -15,7 +15,10 @@
 //!   their inputs by key and update only the affected keys, exactly the "data-parallel,
 //!   only changed parts are reprocessed" strategy of Appendix B. `Join` walks each
 //!   touched key's matches once (`|A_k ∪ A′_k| · |B_k|` pairs, counted by
-//!   [`JOIN_PAIRS_METRIC`]) rather than re-running the batch kernel on it.
+//!   [`JOIN_PAIRS_METRIC`]) rather than re-running the batch kernel on it; where the
+//!   key's norm holds bitwise it accumulates only the matches that can change an output
+//!   record (`|ΔA_k| · |B_k|` pairs for an injective result selector, counted by
+//!   [`JOIN_ACCUMULATED_PAIRS_METRIC`]).
 //! * [`stream`] — a small push-based dataflow builder ([`Stream`]) that wires those
 //!   operators into a DAG mirroring a wPINQ query, with [`CollectedOutput`] sinks and
 //!   [`L1Scorer`] sinks that maintain `‖Q(A) − m‖₁` incrementally (the quantity the MCMC
@@ -41,7 +44,7 @@ pub mod scorer;
 pub mod stream;
 
 pub use delta::{consolidate, diff_datasets, Delta};
-pub use operators::JOIN_PAIRS_METRIC;
+pub use operators::{JOIN_ACCUMULATED_PAIRS_METRIC, JOIN_PAIRS_METRIC};
 pub use scorer::L1Scorer;
 pub use stream::{CollectedOutput, DataflowInput, ScorerHandle, Stream};
 

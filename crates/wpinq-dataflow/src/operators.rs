@@ -6,7 +6,10 @@
 //! key's restriction with the corresponding batch operator from `wpinq-core` and diff the
 //! results. `Join` instead walks each touched key once, emitting the change of every match
 //! with the same per-pair expression and canonical norms as the batch kernel, so its
-//! deltas are bitwise those of a recompute-and-diff at a fraction of the cost. Either way
+//! deltas are bitwise those of a recompute-and-diff at a fraction of the cost. When the
+//! deltas leave a key's norm bitwise unchanged (a degree-preserving edge swap does, at
+//! every key it touches), a match of an untouched record contributes the same bits before
+//! and after, so the walk accumulates it only where a changed match lands too. Either way
 //! the incremental semantics agree with the batch semantics exactly, which the
 //! equivalence property tests rely on.
 
@@ -28,6 +31,14 @@ use crate::delta::{consolidate, diff_datasets, Delta};
 /// countable: read it with `wpinq_telemetry::registry().counter_value(JOIN_PAIRS_METRIC)`.
 pub const JOIN_PAIRS_METRIC: &str = "wpinq_join_pairs_total";
 
+/// Registry name of the counter of evaluated pairs the incremental join pushes into its
+/// per-output accumulators, a subset of [`JOIN_PAIRS_METRIC`]. Where a key's norm changes
+/// every evaluated pair is accumulated. Where it holds bitwise, an untouched record's pair
+/// is accumulated only if a changed record's pair reaches the same output record, so for
+/// an injective result selector a delta under `k` accumulates `|ΔA_k| · |B_k|` pairs
+/// (`ΔA_k` the records the delta touches).
+pub const JOIN_ACCUMULATED_PAIRS_METRIC: &str = "wpinq_join_accumulated_pairs_total";
+
 fn join_pairs_counter() -> &'static Arc<Counter> {
     static C: OnceLock<Arc<Counter>> = OnceLock::new();
     C.get_or_init(|| {
@@ -35,6 +46,17 @@ fn join_pairs_counter() -> &'static Arc<Counter> {
             JOIN_PAIRS_METRIC,
             &[],
             "Record pairs evaluated by incremental joins under touched keys",
+        )
+    })
+}
+
+fn join_accumulated_pairs_counter() -> &'static Arc<Counter> {
+    static C: OnceLock<Arc<Counter>> = OnceLock::new();
+    C.get_or_init(|| {
+        registry().counter(
+            JOIN_ACCUMULATED_PAIRS_METRIC,
+            &[],
+            "Evaluated join pairs pushed into output accumulators",
         )
     })
 }
@@ -126,7 +148,10 @@ pub fn inc_negate<T: Record>(deltas: &[Delta<T>]) -> Vec<Delta<T>> {
 /// under those keys (the paper notes this is the one place wPINQ's join is more expensive
 /// than a relational incremental join). A delta on the left under key `k` costs one pass
 /// over `|A_k ∪ A′_k| · |B_k|` pairs — the left records before or after the delta, times
-/// the right records — and symmetrically on the right; see [`JOIN_PAIRS_METRIC`].
+/// the right records — and symmetrically on the right; see [`JOIN_PAIRS_METRIC`]. When
+/// the delta leaves `‖A_k‖` bitwise unchanged, as a degree-preserving edge swap does, the
+/// pairs of untouched left records only probe the outputs the touched records reach (see
+/// [`JOIN_ACCUMULATED_PAIRS_METRIC`]).
 pub struct IncrementalJoin<A, B, K, R, KA, KB, RF>
 where
     A: Record,
@@ -167,6 +192,20 @@ fn push_contribution(slot: &mut Option<Contribution>, weight: f64) {
     }
 }
 
+/// The pairs one fused key update evaluates, and the subset it accumulates.
+#[derive(Default)]
+struct JoinCost {
+    pairs: u64,
+    accumulated: u64,
+}
+
+impl JoinCost {
+    fn record(self) {
+        join_pairs_counter().add(self.pairs);
+        join_accumulated_pairs_counter().add(self.accumulated);
+    }
+}
+
 /// A record's resolved join weight: its contributions summed canonically, with a
 /// negligible total counting as absent (exactly how the batch join prunes).
 fn resolve(slot: Option<Contribution>) -> f64 {
@@ -183,15 +222,22 @@ fn resolve(slot: Option<Contribution>) -> f64 {
 /// 1. takes the part's canonical norm before the deltas and records each touched
 ///    record's old weight in `old`;
 /// 2. applies the deltas;
-/// 3. walks `(part before ∪ part after) × fixed` once, pushing each match's old
-///    contribution `w_old·w_y/d_old` and new one `w_new·w_y/d_new` into the record's
-///    [`BeforeAfter`] — the expression and `canonical_norm` denominators
+/// 3. walks `(part before ∪ part after) × fixed` once, touched records first, pushing
+///    each match's old contribution `w_old·w_y/d_old` and new one `w_new·w_y/d_new` into
+///    the record's [`BeforeAfter`] — the expression and `canonical_norm` denominators
 ///    `wpinq_core::operators::join` uses, so each per-key total is bitwise the batch
 ///    join's;
 /// 4. emits `resolve(after) − resolve(before)` per output record, skipping negligible
 ///    changes — bitwise `diff_datasets(join(after), join(before))`.
 ///
-/// Returns the number of pairs walked.
+/// If `d_old` and `d_new` have the same bits, an untouched record's match pushes the same
+/// bits into `before` and `after`. Step 3 then only probes `outputs` for such a match: on
+/// a hit it pushes into both, as the full walk would; on a miss, every match reaching
+/// that output record is untouched, so its before and after multisets are equal, its
+/// canonical sums are equal, and the full walk would have emitted no change for it. The
+/// result is bitwise the full walk's for every result selector.
+///
+/// Returns the pairs evaluated and accumulated.
 fn fused_key_delta<C, F, R>(
     changed: &mut WeightedDataset<C>,
     fixed: Option<&WeightedDataset<F>>,
@@ -200,7 +246,7 @@ fn fused_key_delta<C, F, R>(
     old: &mut FxHashMap<C, f64>,
     outputs: &mut FxHashMap<R, BeforeAfter>,
     out: &mut Vec<Delta<R>>,
-) -> u64
+) -> JoinCost
 where
     C: Record,
     F: Record,
@@ -211,7 +257,7 @@ where
         for (record, weight) in deltas {
             changed.add_weight(record, weight);
         }
-        return 0;
+        return JoinCost::default();
     };
     let fixed_norm = canonical_norm(fixed.iter().map(|(_, w)| w));
     let old_norm = canonical_norm(changed.iter().map(|(_, w)| w));
@@ -225,15 +271,27 @@ where
     // `+` commutes.
     let (d_old, d_new) = (old_norm + fixed_norm, new_norm + fixed_norm);
 
-    let mut walked = 0u64;
-    let mut walk = |record: &C, w_old: f64, w_new: f64| {
+    // Untouched records only probe `outputs` when the denominator holds (see above).
+    let same_norm = d_old.to_bits() == d_new.to_bits();
+
+    let mut cost = JoinCost::default();
+    let mut walk = |record: &C, w_old: f64, w_new: f64, probe_only: bool| {
         // Absent on both sides of the delta (e.g. a negligible insertion): no match.
         if w_old == 0.0 && w_new == 0.0 {
             return;
         }
-        walked += 1;
+        cost.pairs += fixed.len() as u64;
         for (y, w_y) in fixed.iter() {
-            let slot = outputs.entry(result(record, y)).or_default();
+            let output = result(record, y);
+            let slot = if probe_only {
+                match outputs.get_mut(&output) {
+                    Some(slot) => slot,
+                    None => continue,
+                }
+            } else {
+                outputs.entry(output).or_default()
+            };
+            cost.accumulated += 1;
             if w_old != 0.0 {
                 push_contribution(&mut slot.before, w_old * w_y / d_old);
             }
@@ -243,11 +301,11 @@ where
         }
     };
     for (record, &w_old) in old.iter() {
-        walk(record, w_old, changed.weight(record));
+        walk(record, w_old, changed.weight(record), false);
     }
     for (record, w) in changed.iter() {
         if !old.contains_key(record) {
-            walk(record, w, w);
+            walk(record, w, w, same_norm);
         }
     }
     old.clear();
@@ -258,7 +316,7 @@ where
             out.push((record, change));
         }
     }
-    walked * fixed.len() as u64
+    cost
 }
 
 /// Groups deltas by key, preserving each key's delta order.
@@ -323,7 +381,7 @@ where
         let mut out = Vec::new();
         for (key, key_deltas) in group_by_key(deltas, &self.key_left) {
             let part = self.left.entry(key.clone()).or_default();
-            let pairs = fused_key_delta(
+            fused_key_delta(
                 part,
                 self.right.get(&key),
                 key_deltas,
@@ -331,8 +389,8 @@ where
                 &mut self.left_old,
                 &mut self.outputs,
                 &mut out,
-            );
-            join_pairs_counter().add(pairs);
+            )
+            .record();
             if part.is_empty() {
                 self.left.remove(&key);
             }
@@ -352,7 +410,7 @@ where
         let result = &self.result;
         for (key, key_deltas) in group_by_key(deltas, &self.key_right) {
             let part = self.right.entry(key.clone()).or_default();
-            let pairs = fused_key_delta(
+            fused_key_delta(
                 part,
                 self.left.get(&key),
                 key_deltas,
@@ -360,8 +418,8 @@ where
                 &mut self.right_old,
                 &mut self.outputs,
                 &mut out,
-            );
-            join_pairs_counter().add(pairs);
+            )
+            .record();
             if part.is_empty() {
                 self.right.remove(&key);
             }
@@ -710,6 +768,31 @@ mod tests {
         out
     }
 
+    /// A swap-shaped batch under one key: remove a record of `part` (chosen by `pick`) and
+    /// insert a record of `same_key` absent from `part` with the same weight, so the part's
+    /// norm, the canonical sum of the same multiset, holds bitwise. Empty when `part` is
+    /// empty or holds every record of `same_key`.
+    fn swap_within<T: Record>(
+        part: Option<&WeightedDataset<T>>,
+        same_key: impl Iterator<Item = T>,
+        pick: usize,
+    ) -> Vec<Delta<T>> {
+        let Some(part) = part else {
+            return Vec::new();
+        };
+        let mut present: Vec<(&T, f64)> = part.iter().collect();
+        present.sort_by(|a, b| a.0.cmp(b.0));
+        let absent: Vec<T> = same_key.filter(|r| part.weight(r) == 0.0).collect();
+        if present.is_empty() || absent.is_empty() {
+            return Vec::new();
+        }
+        let (gone, weight) = present[pick % present.len()];
+        vec![
+            (gone.clone(), -weight),
+            (absent[pick % absent.len()].clone(), weight),
+        ]
+    }
+
     /// Feeds `deltas` to `fused` through the fused update and to `oracle` by
     /// recompute-and-diff, asserting bitwise-equal consolidated outputs and equal state.
     fn push_both_ways<T, K, R, KA, KB, RF>(
@@ -753,7 +836,7 @@ mod tests {
         #[test]
         fn fused_join_matches_recompute_and_diff_bitwise(
             steps in proptest::collection::vec(
-                (0u8..4, proptest::collection::vec((0u32..24, 0u8..8), 1..6)),
+                (0u8..5, proptest::collection::vec((0u32..24, 0u8..8), 1..6)),
                 1..40,
             ),
         ) {
@@ -771,7 +854,7 @@ mod tests {
                     0 => (Side::Left, raw.iter().map(|&(r, w)| (r, weight_of(w))).collect()),
                     1 => (Side::Right, raw.iter().map(|&(r, w)| (r, weight_of(w))).collect()),
                     2 => (Side::Both, raw.iter().map(|&(r, w)| (r, weight_of(w))).collect()),
-                    _ => {
+                    3 => {
                         // Remove every record under one key of one side: the key empties.
                         let probe = raw[0].0;
                         let (side, part) = if probe % 2 == 0 {
@@ -784,6 +867,20 @@ mod tests {
                             .unwrap_or_default();
                         (side, deltas)
                     }
+                    _ => {
+                        // A swap under one key of one side: the key's norm holds, so its
+                        // untouched records take the probe-only walk.
+                        let (probe, pick) = (raw[0].0, usize::from(raw[0].1));
+                        if probe % 2 == 0 {
+                            let k = key_l(&probe);
+                            let part = oracle_c.left.get(&k);
+                            (Side::Left, swap_within(part, (0..24).filter(|x| key_l(x) == k), pick))
+                        } else {
+                            let k = key_r(&probe);
+                            let part = oracle_c.right.get(&k);
+                            (Side::Right, swap_within(part, (0..24).filter(|x| key_r(x) == k), pick))
+                        }
+                    }
                 };
                 push_both_ways(&mut fused_c, &mut oracle_c, side, &deltas);
                 push_both_ways(&mut fused_p, &mut oracle_p, side, &deltas);
@@ -793,7 +890,7 @@ mod tests {
         #[test]
         fn fused_self_join_matches_recompute_and_diff_bitwise(
             steps in proptest::collection::vec(
-                proptest::collection::vec(((0u32..7, 0u32..7), 0u8..8), 1..9),
+                (0u8..4, proptest::collection::vec(((0u32..7, 0u32..7), 0u8..8), 1..9)),
                 1..30,
             ),
         ) {
@@ -806,9 +903,19 @@ mod tests {
             let mut oracle_p = IncrementalJoin::new(key_l, key_r, paths);
             let mut fused_e = IncrementalJoin::new(key_l, key_r, ends);
             let mut oracle_e = IncrementalJoin::new(key_l, key_r, ends);
-            for raw in &steps {
-                let deltas: Vec<Delta<(u32, u32)>> =
-                    raw.iter().map(|&(e, w)| (e, weight_of(w))).collect();
+            for (kind, raw) in &steps {
+                let deltas: Vec<Delta<(u32, u32)>> = if *kind == 0 {
+                    // Swap one edge for another with the same destination (the left key)
+                    // or the same source (the right key): that side's key keeps its norm.
+                    let ((a, b), pick) = (raw[0].0, usize::from(raw[0].1));
+                    if pick % 2 == 0 {
+                        swap_within(oracle_p.left.get(&b), (0..7).map(|x| (x, b)), pick / 2)
+                    } else {
+                        swap_within(oracle_p.right.get(&a), (0..7).map(|y| (a, y)), pick / 2)
+                    }
+                } else {
+                    raw.iter().map(|&(e, w)| (e, weight_of(w))).collect()
+                };
                 push_both_ways(&mut fused_p, &mut oracle_p, Side::Both, &deltas);
                 push_both_ways(&mut fused_e, &mut oracle_e, Side::Both, &deltas);
             }

@@ -7,13 +7,19 @@
 //! the pairs it walks in `wpinq_join_pairs_total`; this test pushes one edge swap through
 //! the length-two-paths self-join and asserts that count exactly.
 //!
-//! The counter is process-wide, so this file holds a single test.
+//! A degree-preserving swap leaves every touched key's norm unchanged on both sides, so
+//! a match of an untouched record cannot change any output: with the injective path
+//! selector the join accumulates only the touched records' matches, `Σ_k |ΔC_k| · |F_k|`
+//! per side (`ΔC_k` the records the deltas touch under `k`), counted in
+//! `wpinq_join_accumulated_pairs_total`.
+//!
+//! The counters are process-wide, so this file holds a single test.
 
 use std::collections::BTreeSet;
 
 use wpinq::plan::{Plan, StreamBindings};
 use wpinq::WeightedDataset;
-use wpinq_dataflow::{DataflowInput, Delta, JOIN_PAIRS_METRIC};
+use wpinq_dataflow::{DataflowInput, Delta, JOIN_ACCUMULATED_PAIRS_METRIC, JOIN_PAIRS_METRIC};
 
 type Edge = (u32, u32);
 /// A join key selector over edges.
@@ -21,6 +27,10 @@ type KeyFn = fn(&Edge) -> u32;
 
 fn pairs_total() -> u64 {
     wpinq_telemetry::registry().counter_value(JOIN_PAIRS_METRIC)
+}
+
+fn accumulated_total() -> u64 {
+    wpinq_telemetry::registry().counter_value(JOIN_ACCUMULATED_PAIRS_METRIC)
 }
 
 /// Both orientations of each undirected edge.
@@ -52,6 +62,21 @@ fn side_pairs(
                 .collect();
             (union.len() * part(fixed, fixed_key, k).len()) as u64
         })
+        .sum()
+}
+
+/// `Σ_k |ΔC_k| · |F_k|` over the keys the deltas touch on the changed side: `ΔC_k` are the
+/// records the deltas touch under `k`, `F` the fixed side as the update sees it.
+fn touched_pairs(
+    deltas: &[Delta<Edge>],
+    changed_key: KeyFn,
+    fixed_key: KeyFn,
+    fixed: &BTreeSet<Edge>,
+) -> u64 {
+    let touched: BTreeSet<Edge> = deltas.iter().map(|(e, _)| *e).collect();
+    touched
+        .iter()
+        .map(|e| part(fixed, fixed_key, changed_key(e)).len() as u64)
         .sum()
 }
 
@@ -99,6 +124,9 @@ fn one_swap_through_the_length_two_paths_self_join_walks_the_intrinsic_pairs() {
     let expected = side_pairs(&swap, dst, src, &before, &after, &before)
         + side_pairs(&swap, src, dst, &before, &after, &after);
     assert!(expected > 0);
+    let expected_accumulated =
+        touched_pairs(&swap, dst, src, &before) + touched_pairs(&swap, src, dst, &after);
+    assert!(expected_accumulated < expected);
 
     let source = Plan::<Edge>::source();
     let paths = source
@@ -111,7 +139,12 @@ fn one_swap_through_the_length_two_paths_self_join_walks_the_intrinsic_pairs() {
     streams.bind(&source, stream);
     let _sequential = paths.lower(&streams).collect();
     input.push_dataset(&load);
-    let start = pairs_total();
+    let (start, start_accumulated) = (pairs_total(), accumulated_total());
     input.push(&swap);
     assert_eq!(pairs_total() - start, expected, "sequential engine");
+    assert_eq!(
+        accumulated_total() - start_accumulated,
+        expected_accumulated,
+        "accumulated pairs"
+    );
 }

@@ -28,7 +28,7 @@
 //! change performance but never results.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use rustc_hash::FxHashMap;
@@ -74,33 +74,20 @@ pub fn columnar_enabled() -> bool {
     }
 }
 
-/// Environment toggle for radix-partitioned packed-key resolution: set to `0` to keep
-/// the plain sort-merge everywhere (any other value, or unset, leaves radix on). Both
-/// paths resolve the identical canonical accumulation, so the toggle changes performance,
-/// never results.
-pub const RADIX_ENV: &str = "WPINQ_RADIX";
+/// Process-wide: `true` while [`set_radix_override`] forces the sort-merge.
+static RADIX_OFF: AtomicBool = AtomicBool::new(false);
 
-/// Process-wide override: 0 = defer to the environment, 1 = forced off, 2 = forced on.
-static RADIX_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Overrides the [`RADIX_ENV`] toggle for this process (`None` restores deference to the
-/// environment). Lets tests and benches flip strategies without racing on `set_var`.
+/// Overrides radix-partitioned packed-key resolution for this process: `Some(false)`
+/// keeps the plain global sort-merge, `None` restores the default (radix on). Both paths
+/// resolve the identical canonical accumulation, so the switch changes performance, never
+/// results; it lets the equivalence tests and the vector bench compare the two.
 pub fn set_radix_override(enabled: Option<bool>) {
-    let code = match enabled {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    RADIX_OVERRIDE.store(code, Ordering::Relaxed);
+    RADIX_OFF.store(enabled == Some(false), Ordering::Relaxed);
 }
 
 /// Whether packed-key resolution should radix-partition instead of sort-merging.
 pub fn radix_enabled() -> bool {
-    match RADIX_OVERRIDE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => std::env::var(RADIX_ENV).map_or(true, |v| v != "0"),
-    }
+    !RADIX_OFF.load(Ordering::Relaxed)
 }
 
 /// Registry name of the counter of `(record, weight)` contribution rows resolved into

@@ -37,8 +37,8 @@ pub mod spec;
 
 pub use columnar::{
     columnar_enabled, radix_enabled, resolved_rows_counter, set_columnar_override,
-    set_radix_override, COLUMNAR_ENV, RADIX_ENV, RESOLVED_ROWS_METRIC, STRATEGY_HASH,
-    STRATEGY_RADIX, STRATEGY_SORT_MERGE,
+    set_radix_override, COLUMNAR_ENV, RESOLVED_ROWS_METRIC, STRATEGY_HASH, STRATEGY_RADIX,
+    STRATEGY_SORT_MERGE,
 };
 pub use expr::{BinOp, Expr};
 pub use json::Json;

@@ -234,7 +234,11 @@ impl MeasureRequest {
     /// Parses a request envelope. Versions 1 and 2 are both accepted: version 1 is the
     /// pre-`id` format, so a v1 request simply parses with `id: None`.
     pub fn from_json(text: &str) -> Result<MeasureRequest, WireError> {
-        let json = Json::parse(text).map_err(|e| WireError::new(e.to_string()))?;
+        MeasureRequest::from_json_value(&parse_line(text)?)
+    }
+
+    /// Reads a request envelope already parsed as JSON (see [`from_json`](Self::from_json)).
+    fn from_json_value(json: &Json) -> Result<MeasureRequest, WireError> {
         let version = json
             .get(REQUEST_HEADER)
             .and_then(Json::as_u64)
@@ -280,6 +284,11 @@ impl MeasureRequest {
             encoding,
         })
     }
+}
+
+/// Parses one request line as JSON, a parse failure becoming a wire error.
+fn parse_line(text: &str) -> Result<Json, WireError> {
+    Json::parse(text).map_err(|e| WireError::new(e.to_string()))
 }
 
 /// A successful measurement: the noisy release plus accounting facts the analyst is
@@ -1213,17 +1222,20 @@ impl MeasurementService {
     }
 
     fn handle_line_inner(&self, request_json: &str, started: Instant) -> String {
-        // The `stats` sideband op carries no measure-request header; only lines that
-        // cannot be measure requests pay the extra parse.
-        if !request_json.contains(REQUEST_HEADER) {
-            if let Ok(json) = Json::parse(request_json) {
-                if json.get("op").and_then(Json::as_str) == Some("stats") {
+        // The `stats` sideband op carries no measure-request header; a line without one
+        // is parsed once, for both the probe and the request.
+        let parsed = if request_json.contains(REQUEST_HEADER) {
+            MeasureRequest::from_json(request_json)
+        } else {
+            match parse_line(request_json) {
+                Ok(json) if json.get("op").and_then(Json::as_str) == Some("stats") => {
                     requests_ok_counter().inc();
                     return self.stats_json().to_compact();
                 }
+                parsed => parsed.and_then(|json| MeasureRequest::from_json_value(&json)),
             }
-        }
-        let request = match MeasureRequest::from_json(request_json) {
+        };
+        let request = match parsed {
             Ok(request) => request,
             Err(error) => {
                 // The envelope didn't parse far enough to trust an id.

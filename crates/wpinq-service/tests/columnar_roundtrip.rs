@@ -89,7 +89,7 @@ fn local_release<T: ExprRecord>(
 }
 
 fn check<T: ExprRecord>(name: &str, graph: &Graph, plan: &Plan<T>, typed_reference: &str) {
-    // The full engine matrix: WPINQ_COLUMNAR × WPINQ_RADIX (radix only participates on
+    // The full engine matrix: columnar × radix overrides (radix only participates on
     // the columnar path, but every cell must release the same bytes regardless).
     set_columnar_override(Some(false));
     set_radix_override(None);

@@ -13,7 +13,7 @@ use wpinq::{Plan, PlanSpec};
 use wpinq_analyses::degree::degree_ccdf_plan_expr;
 use wpinq_analyses::edges::{Edge, EDGES_DATASET};
 use wpinq_expr::{Json, WIRE_VERSION};
-use wpinq_service::{MeasureRequest, ResponseEncoding, REQUEST_VERSION};
+use wpinq_service::{MeasureRequest, MeasurementService, ResponseEncoding, REQUEST_VERSION};
 
 const FIXTURE: &str = include_str!("fixtures/degree_planspec.json");
 const REQUEST_FIXTURE: &str = include_str!("fixtures/measure_request_v2.json");
@@ -109,4 +109,39 @@ fn version_1_request_envelopes_still_parse() {
     let future = v1.replace("\"wpinq_measure_request\":1", "\"wpinq_measure_request\":3");
     let err = MeasureRequest::from_json(&future).unwrap_err();
     assert!(err.to_string().contains("unsupported request version 3"));
+}
+
+/// Lines without the request header reach the front door's `stats` probe, and every one
+/// that is not `{"op":"stats"}` is refused with these exact bytes. A line carrying the
+/// header is read as a request even when it names the `stats` op.
+#[test]
+fn header_less_lines_get_their_pinned_replies() {
+    let service = MeasurementService::new();
+    let wire_error = |message: &str| {
+        format!("{{\"ok\":false,\"error\":{{\"code\":\"wire\",\"message\":\"wire error: {message}\"}}}}")
+    };
+    let missing_header = wire_error("missing 'wpinq_measure_request' header");
+    assert_eq!(
+        service.handle_line(&"[".repeat(200 << 10)),
+        wire_error("JSON error at byte 128: nesting deeper than 128 levels")
+    );
+    assert_eq!(service.handle_line("{}"), missing_header);
+    assert_eq!(service.handle_line("{\"op\":\"nope\"}"), missing_header);
+    assert_eq!(
+        service.handle_line("{\"wpinq_measure_request\":2,\"op\":\"stats\"}"),
+        wire_error("missing 'analyst'")
+    );
+
+    let stats = service.handle_line("{\"op\":\"stats\"}");
+    let json = Json::parse(&stats).expect("stats is JSON");
+    assert_eq!(
+        json.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{stats}"
+    );
+    assert!(
+        json.get("stats")
+            .is_some_and(|body| body.to_compact().contains("wpinq_requests_total")),
+        "{stats}"
+    );
 }

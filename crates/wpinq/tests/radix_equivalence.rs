@@ -3,7 +3,7 @@
 //!
 //! The columnar engine resolves contribution rows into canonical per-record totals three
 //! ways: radix partition + per-partition sort over packed `[u64; N]` keys (the default
-//! above the partitioning threshold), a global packed-key sort-merge (`WPINQ_RADIX=0`,
+//! above the partitioning threshold), a global packed-key sort-merge (`set_radix_override(Some(false))`,
 //! and any merge below the threshold), and hash-map accumulation (shapes with no packed
 //! form, and the row interpreter). All three must produce the same weighted dataset down
 //! to the last float bit, over random plan shapes, duplicate-heavy keys, negative and
