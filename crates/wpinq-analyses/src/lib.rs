@@ -13,13 +13,13 @@
 //! incremental scoring — batch answers, incremental scoring, and privacy accounting all
 //! flow from one definition.
 //!
-//! The degree, edges, nodes, and triangles workloads additionally exist in
+//! The degree, edges, nodes, JDD, triangles and squares queries additionally exist in
 //! **expression form** (`degree_ccdf_plan_expr`, `edge_count_plan_expr`,
-//! `nodes_plan_expr`, `tbd_plan_expr`, …): the same queries built from the `wpinq-expr`
-//! first-order expression language instead of Rust closures. They evaluate
-//! byte-identically to the closure forms, but serialize to the `PlanSpec` wire format —
-//! over an [`edges::EdgeSource::named`] source they can be shipped to a `wpinq-service`
-//! measurement server (PINQ's agent model across processes).
+//! `nodes_plan_expr`, `jdd_plan_expr`, `tbd_plan_expr`, `sbd_plan_expr`, …): the same
+//! queries built from the `wpinq-expr` first-order expression language instead of Rust
+//! closures. They evaluate byte-identically to the closure forms, but serialize to the
+//! `PlanSpec` wire format — over an [`edges::EdgeSource::named`] source they can be
+//! shipped to a `wpinq-service` measurement server (PINQ's agent model across processes).
 //!
 //! Modules:
 //!
@@ -34,9 +34,6 @@
 //! * [`tbi`] — Triangles-by-Intersect (Section 5.3), the single-count query used in the
 //!   headline experiments.
 //! * [`motifs`] — the path-join pattern generalised to longer paths and cycles (Section 3.5).
-//! * [`workload`] — merging independently-authored query requests into one plan, so the
-//!   optimizer's common-subplan extraction + idempotent collapse charge duplicated
-//!   requests once (`Plan::explain()` certifies the ε saving).
 //! * [`postprocess`] — PAVA isotonic regression and the joint CCDF/degree-sequence grid fit.
 //! * [`baselines`] — Hay et al. degree sequences, Sala et al. JDD noise, and the
 //!   worst-case-sensitivity triangle count that Figure 1 motivates against.
@@ -54,6 +51,5 @@ pub mod postprocess;
 pub mod squares;
 pub mod tbi;
 pub mod triangles;
-pub mod workload;
 
 pub use edges::{EdgeSource, GraphEdges};

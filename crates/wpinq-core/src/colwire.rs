@@ -316,43 +316,49 @@ pub fn to_base64(bytes: &[u8]) -> String {
     out
 }
 
-/// Inverse of [`to_base64`]; rejects non-alphabet characters and ragged lengths.
-pub fn from_base64(text: &str) -> Result<Vec<u8>, ColwireError> {
-    fn value_of(c: u8) -> Result<u32, ColwireError> {
-        match c {
-            b'A'..=b'Z' => Ok((c - b'A') as u32),
-            b'a'..=b'z' => Ok((c - b'a' + 26) as u32),
-            b'0'..=b'9' => Ok((c - b'0' + 52) as u32),
-            b'+' => Ok(62),
-            b'/' => Ok(63),
-            _ => Err(ColwireError::new(format!(
-                "invalid base64 character {:?}",
-                c as char
-            ))),
-        }
+/// Each byte's base64 digit, [`NOT_BASE64`] for bytes outside the alphabet.
+const BASE64_DIGITS: [u8; 256] = {
+    let mut digits = [NOT_BASE64; 256];
+    let mut i = 0;
+    while i < 64 {
+        digits[BASE64_ALPHABET[i] as usize] = i as u8;
+        i += 1;
     }
+    digits
+};
+const NOT_BASE64: u8 = 0xff;
+
+/// Inverse of [`to_base64`]; rejects non-alphabet characters, ragged lengths, and
+/// padding anywhere but at the end of the final quad.
+pub fn from_base64(text: &str) -> Result<Vec<u8>, ColwireError> {
     let raw = text.as_bytes();
     if !raw.len().is_multiple_of(4) {
         return Err(ColwireError::new("base64 length not a multiple of 4"));
     }
+    let pad = raw.iter().rev().take_while(|&&c| c == b'=').count();
+    if pad > 2 {
+        return Err(ColwireError::new("malformed base64 padding"));
+    }
+    // Every byte before the padding is a digit, so a `=` inside the text fails here.
+    let word = |digits: &[u8]| {
+        digits
+            .iter()
+            .try_fold(0u32, |word, &c| match BASE64_DIGITS[usize::from(c)] {
+                NOT_BASE64 => Err(ColwireError::new(format!(
+                    "invalid base64 character {:?}",
+                    c as char
+                ))),
+                digit => Ok(word << 6 | u32::from(digit)),
+            })
+    };
     let mut out = Vec::with_capacity(raw.len() / 4 * 3);
-    for quad in raw.chunks_exact(4) {
-        let pad = quad.iter().rev().take_while(|&&c| c == b'=').count();
-        if pad > 2 || quad[..4 - pad].contains(&b'=') {
-            return Err(ColwireError::new("malformed base64 padding"));
-        }
-        let mut word = 0u32;
-        for &c in &quad[..4 - pad] {
-            word = (word << 6) | value_of(c)?;
-        }
-        word <<= 6 * pad;
-        out.push((word >> 16) as u8);
-        if pad < 2 {
-            out.push((word >> 8) as u8);
-        }
-        if pad < 1 {
-            out.push(word as u8);
-        }
+    let mut quads = raw[..raw.len() - pad].chunks_exact(4);
+    for quad in &mut quads {
+        out.extend_from_slice(&word(quad)?.to_be_bytes()[1..]);
+    }
+    if pad > 0 {
+        let word = word(quads.remainder())? << (6 * pad);
+        out.extend_from_slice(&word.to_be_bytes()[1..4 - pad]);
     }
     Ok(out)
 }
@@ -360,6 +366,8 @@ pub fn from_base64(text: &str) -> Result<Vec<u8>, ColwireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample_batch() -> ColumnBatch {
         let rows = [
@@ -467,5 +475,20 @@ mod tests {
         assert!(from_base64("###!").is_err());
         assert!(from_base64("AAA").is_err());
         assert!(from_base64("=AAA").is_err());
+        assert_eq!(from_base64("AA==").unwrap(), [0]);
+        // Padding closes the final quad only: each quad of these decodes on its own.
+        for text in ["AA==AAAA", "AAA=AAAA", "A=A=", "====", "A===", "AA=A"] {
+            assert!(from_base64(text).is_err(), "{text}");
+        }
+    }
+
+    #[test]
+    fn base64_round_trips_every_length() {
+        let mut rng = StdRng::seed_from_u64(300);
+        for len in 0..300 {
+            let bytes: Vec<u8> = (0..len).map(|_| rng.gen::<u32>() as u8).collect();
+            let text = to_base64(&bytes);
+            assert_eq!(from_base64(&text).unwrap(), bytes, "length {len}");
+        }
     }
 }

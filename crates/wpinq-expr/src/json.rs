@@ -1,4 +1,5 @@
-//! A minimal, dependency-free JSON document model with a deterministic writer.
+//! A minimal, dependency-free JSON document model with a deterministic writer, and the
+//! pull [`Reader`] that both [`Json::parse`] and the streaming decoders read through.
 //!
 //! The build container has no crates.io access, so the wire format is hand-rolled on top
 //! of this module instead of serde. Two properties matter more than generality:
@@ -10,6 +11,7 @@
 //! * **Exact integers**: numbers are kept as their raw decimal token, so a full-range
 //!   `u64`/`i64` survives a parse → write cycle without passing through `f64`.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A parsed JSON document.
@@ -172,14 +174,35 @@ impl Json {
 
     /// Parses a JSON document, rejecting trailing garbage.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(JsonError::at(pos, "trailing characters after document"));
-        }
+        let mut reader = Reader::new(text);
+        let value = Json::read(&mut reader)?;
+        reader.end()?;
         Ok(value)
+    }
+
+    /// Reads the reader's next value as a document.
+    pub fn read(reader: &mut Reader<'_>) -> Result<Json, JsonError> {
+        Ok(match reader.peek()? {
+            b'n' | b't' | b'f' => reader.literal()?.map_or(Json::Null, Json::Bool),
+            b'"' => Json::Str(reader.str()?.into_owned()),
+            b'[' => {
+                reader.begin()?;
+                let mut items = Vec::new();
+                while reader.has_next()? {
+                    items.push(Json::read(reader)?);
+                }
+                Json::Arr(items)
+            }
+            b'{' => {
+                reader.begin()?;
+                let mut members = Vec::new();
+                while let Some(key) = reader.next_key()? {
+                    members.push((key.into_owned(), Json::read(reader)?));
+                }
+                Json::Obj(members)
+            }
+            _ => Json::Num(reader.number()?.to_string()),
+        })
     }
 }
 
@@ -246,196 +269,280 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), JsonError> {
-    if *pos < bytes.len() && bytes[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(JsonError::at(*pos, format!("expected '{}'", c as char)))
-    }
-}
-
-/// The deepest array/object nesting [`Json::parse`] accepts. The parser recurses once
-/// per level, so without a cap a line of `[`s overflows the thread's stack and aborts the
-/// process; no document the protocol defines comes near this depth.
+/// The deepest array/object nesting a [`Reader`] (and so [`Json::parse`]) accepts.
+/// Readers recurse once per level, so without a cap a line of `[`s overflows the thread's
+/// stack and aborts the process; no document the protocol defines comes near this depth.
 pub const MAX_DEPTH: usize = 128;
 
-/// The depth inside a container opened at `pos` by a value at `depth`, refused past
-/// [`MAX_DEPTH`].
-fn nested(pos: usize, depth: usize) -> Result<usize, JsonError> {
-    if depth == MAX_DEPTH {
-        return Err(JsonError::at(
-            pos,
-            format!("nesting deeper than {MAX_DEPTH} levels"),
-        ));
-    }
-    Ok(depth + 1)
+/// A pull reader over JSON text: the one tokenizer behind [`Json::parse`] and every
+/// decoder that reads a document without building it.
+///
+/// [`peek`](Self::peek) tells what comes next, and the matching method reads it. Arrays
+/// are stepped with [`has_next`](Self::has_next) before each item, objects with
+/// [`next_key`](Self::next_key) before each member; both consume the closing bracket when
+/// they report the end. A clone is a saved position: it reads the same bytes again.
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    /// The document; tokens and unescaped strings are borrowed slices of it.
+    text: &'a str,
+    pos: usize,
+    /// Containers open at `pos`.
+    depth: usize,
+    /// Set when a container was just opened: the next step reads no separator.
+    opened: bool,
 }
 
-/// Parses one value at `depth` enclosing arrays/objects.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(JsonError::at(*pos, "unexpected end of input")),
-        Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
-        Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b'[') => {
-            let inner = nested(*pos, depth)?;
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos, inner)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(JsonError::at(*pos, "expected ',' or ']' in array")),
-                }
-            }
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            text,
+            pos: 0,
+            depth: 0,
+            opened: false,
         }
-        Some(b'{') => {
-            let inner = nested(*pos, depth)?;
-            *pos += 1;
-            let mut members = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos, inner)?;
-                members.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(members));
-                    }
-                    _ => return Err(JsonError::at(*pos, "expected ',' or '}' in object")),
-                }
-            }
-        }
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
-        Some(c) => Err(JsonError::at(*pos, format!("unexpected byte 0x{c:02x}"))),
     }
-}
 
-fn parse_keyword(
-    bytes: &[u8],
-    pos: &mut usize,
-    keyword: &str,
-    value: Json,
-) -> Result<Json, JsonError> {
-    if bytes[*pos..].starts_with(keyword.as_bytes()) {
-        *pos += keyword.len();
+    /// Skips whitespace; the next byte, if any.
+    #[inline]
+    fn ws(&mut self) -> Option<u8> {
+        let bytes = self.text.as_bytes();
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = bytes.get(self.pos) {
+            self.pos += 1;
+        }
+        bytes.get(self.pos).copied()
+    }
+
+    fn expect(&mut self, c: u8) -> Result<(), JsonError> {
+        if self.ws() == Some(c) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(JsonError::at(self.pos, format!("expected '{}'", c as char)))
+        }
+    }
+
+    /// The first byte of the next value, which tells its kind: `n`, `t` or `f`, `"`, `[`,
+    /// `{`, or `-` or a digit for a number. Any other byte is an error.
+    #[inline]
+    pub fn peek(&mut self) -> Result<u8, JsonError> {
+        match self.ws() {
+            None => Err(JsonError::at(self.pos, "unexpected end of input")),
+            Some(c @ (b'n' | b't' | b'f' | b'"' | b'[' | b'{' | b'-' | b'0'..=b'9')) => Ok(c),
+            Some(c) => Err(JsonError::at(
+                self.pos,
+                format!("unexpected byte 0x{c:02x}"),
+            )),
+        }
+    }
+
+    /// Succeeds when only whitespace is left.
+    pub fn end(&mut self) -> Result<(), JsonError> {
+        let trailing = "trailing characters after document";
+        self.ws()
+            .map_or(Ok(()), |_| Err(JsonError::at(self.pos, trailing)))
+    }
+
+    /// Reads `null` (as `None`), `true` or `false`.
+    pub fn literal(&mut self) -> Result<Option<bool>, JsonError> {
+        let (keyword, value) = match self.ws() {
+            Some(b'n') => ("null", None),
+            Some(b't') => ("true", Some(true)),
+            _ => ("false", Some(false)),
+        };
+        if !self.text[self.pos..].starts_with(keyword) {
+            return Err(JsonError::at(self.pos, format!("expected '{keyword}'")));
+        }
+        self.pos += keyword.len();
         Ok(value)
-    } else {
-        Err(JsonError::at(*pos, format!("expected '{keyword}'")))
     }
-}
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
+    /// Reads a number as its raw token: the longest run of `0-9 . e E + -`, which must
+    /// follow the grammar `f64::from_str` accepts over that alphabet,
+    /// `-? (digits [. digits?] | . digits) ([eE] [+-]? digits)?`.
+    #[inline]
+    pub fn number(&mut self) -> Result<&'a str, JsonError> {
+        self.ws();
+        let (bytes, start) = (self.text.as_bytes(), self.pos);
+        let mut pos = start;
+        let digits = |pos: &mut usize| {
+            let run = bytes[*pos..]
+                .iter()
+                .take_while(|b| b.is_ascii_digit())
+                .count();
+            *pos += run;
+            run
+        };
+        pos += usize::from(bytes.get(pos) == Some(&b'-'));
+        let mut count = digits(&mut pos);
+        if bytes.get(pos) == Some(&b'.') {
+            pos += 1;
+            count += digits(&mut pos);
+        }
+        let mut valid = count > 0;
+        if let Some(b'e' | b'E') = bytes.get(pos) {
+            pos += 1;
+            pos += usize::from(matches!(bytes.get(pos), Some(b'+' | b'-')));
+            valid &= digits(&mut pos) > 0;
+        }
+        while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = bytes.get(pos) {
+            valid = false;
+            pos += 1;
+        }
+        self.pos = pos;
+        // ASCII by construction, so both ends are character boundaries.
+        let token = &self.text[start..self.pos];
+        if !valid {
+            return Err(JsonError::at(start, format!("malformed number '{token}'")));
+        }
+        Ok(token)
     }
-    // The token is ASCII by construction, and the raw text is what gets stored.
-    let token = std::str::from_utf8(&bytes[start..*pos]).expect("number tokens are ASCII");
-    if !is_number(token) {
-        return Err(JsonError::at(start, format!("malformed number '{token}'")));
+
+    /// Reads a number as `T` (`u64`, `i64` or `f64`); `None` when it does not parse as `T`
+    /// or is not a number. Those types parse only tokens the grammar of
+    /// [`number`](Self::number) accepts, so the parse is the token's one check.
+    #[inline]
+    pub fn parse<T: std::str::FromStr>(&mut self) -> Result<Option<T>, JsonError> {
+        if !matches!(self.peek()?, b'-' | b'0'..=b'9') {
+            return Ok(None);
+        }
+        let (bytes, start) = (self.text.as_bytes(), self.pos);
+        while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = bytes.get(self.pos) {
+            self.pos += 1;
+        }
+        Ok(self.text[start..self.pos].parse().ok())
     }
-    Ok(Json::Num(token.to_string()))
-}
 
-/// The decimal grammar `f64::from_str` accepts over a number token's alphabet:
-/// `-? (digits [. digits?] | . digits) ([eE] [+-]? digits)?`.
-fn is_number(token: &str) -> bool {
-    let all_digits = |s: &str| s.bytes().all(|b| b.is_ascii_digit());
-    let (mantissa, exponent) = match token.split_once(['e', 'E']) {
-        Some((mantissa, e)) => (mantissa, Some(e.strip_prefix(['+', '-']).unwrap_or(e))),
-        None => (token, None),
-    };
-    let mantissa = mantissa.strip_prefix('-').unwrap_or(mantissa);
-    let (whole, fraction) = mantissa.split_once('.').unwrap_or((mantissa, ""));
-    all_digits(whole)
-        && all_digits(fraction)
-        && !(whole.is_empty() && fraction.is_empty())
-        && exponent.is_none_or(|e| !e.is_empty() && all_digits(e))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(JsonError::at(*pos, "unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
+    /// Reads a string, borrowed from the input unless it contains an escape.
+    pub fn str(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.expect(b'"')?;
+        let bytes = self.text.as_bytes();
+        let mut out = String::new();
+        loop {
+            // Take the whole run up to the next quote or escape at once. Both delimiters
+            // are ASCII, so the run ends on a character boundary.
+            let start = self.pos;
+            while !matches!(bytes.get(self.pos), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
             }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| JsonError::at(*pos, "truncated \\u escape"))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| JsonError::at(*pos, "malformed \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| JsonError::at(*pos, "malformed \\u escape"))?;
-                        // Surrogate pairs are not needed by the wire format; reject them.
-                        let c = char::from_u32(code)
-                            .ok_or_else(|| JsonError::at(*pos, "unsupported \\u escape"))?;
-                        out.push(c);
-                        *pos += 4;
-                    }
-                    _ => return Err(JsonError::at(*pos, "unsupported escape")),
+            let run = &self.text[start..self.pos];
+            match bytes.get(self.pos) {
+                None => return Err(JsonError::at(self.pos, "unterminated string")),
+                Some(b'"') if out.is_empty() => {
+                    self.pos += 1;
+                    return Ok(Cow::Borrowed(run));
                 }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Copy the whole run up to the next quote or escape at once. Both
-                // delimiters are ASCII, so the run ends on a character boundary.
-                let start = *pos;
-                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
-                    *pos += 1;
+                Some(b'"') => {
+                    self.pos += 1;
+                    out.push_str(run);
+                    return Ok(Cow::Owned(out));
                 }
-                let run = std::str::from_utf8(&bytes[start..*pos])
-                    .map_err(|_| JsonError::at(start, "invalid UTF-8"))?;
-                out.push_str(run);
+                _ => {}
             }
+            out.push_str(run);
+            self.pos += 1;
+            match bytes.get(self.pos) {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let pos = self.pos;
+                    let hex = bytes
+                        .get(pos + 1..pos + 5)
+                        .ok_or_else(|| JsonError::at(pos, "truncated \\u escape"))?;
+                    let hex = std::str::from_utf8(hex)
+                        .map_err(|_| JsonError::at(pos, "malformed \\u escape"))?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| JsonError::at(pos, "malformed \\u escape"))?;
+                    // Surrogate pairs are not needed by the wire format; reject them.
+                    let c = char::from_u32(code)
+                        .ok_or_else(|| JsonError::at(pos, "unsupported \\u escape"))?;
+                    out.push(c);
+                    self.pos += 4;
+                }
+                _ => return Err(JsonError::at(self.pos, "unsupported escape")),
+            }
+            self.pos += 1;
+        }
+    }
+
+    /// Enters the array or object that comes next, refused past [`MAX_DEPTH`]; step
+    /// through it with [`has_next`](Self::has_next) or [`next_key`](Self::next_key).
+    #[inline]
+    pub fn begin(&mut self) -> Result<(), JsonError> {
+        if !matches!(self.ws(), Some(b'[' | b'{')) {
+            return Err(JsonError::at(self.pos, "expected '[' or '{'"));
+        }
+        if self.depth == MAX_DEPTH {
+            let message = format!("nesting deeper than {MAX_DEPTH} levels");
+            return Err(JsonError::at(self.pos, message));
+        }
+        self.pos += 1;
+        self.depth += 1;
+        self.opened = true;
+        Ok(())
+    }
+
+    /// Steps past a separator or the container's closing `bracket`: `false` at the end.
+    #[inline]
+    fn step(&mut self, bracket: u8, error: &str) -> Result<bool, JsonError> {
+        let opened = std::mem::take(&mut self.opened);
+        match self.ws() {
+            Some(c) if c == bracket => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(false)
+            }
+            _ if opened => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(JsonError::at(self.pos, error)),
+        }
+    }
+
+    /// Whether another item follows in the array being read; `false` consumes its `]`.
+    #[inline]
+    pub fn has_next(&mut self) -> Result<bool, JsonError> {
+        self.step(b']', "expected ',' or ']' in array")
+    }
+
+    /// The next member's key, its `:` consumed, or `None` once the object's `}` is read.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if !self.step(b'}', "expected ',' or '}' in object")? {
+            return Ok(None);
+        }
+        let key = self.str()?;
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Reads past the next value, checking its syntax.
+    pub fn skip_value(&mut self) -> Result<(), JsonError> {
+        match self.peek()? {
+            b'n' | b't' | b'f' => self.literal().map(drop),
+            b'"' => self.str().map(drop),
+            b'[' => {
+                self.begin()?;
+                while self.has_next()? {
+                    self.skip_value()?;
+                }
+                Ok(())
+            }
+            b'{' => {
+                self.begin()?;
+                while self.next_key()?.is_some() {
+                    self.skip_value()?;
+                }
+                Ok(())
+            }
+            _ => self.number().map(drop),
         }
     }
 }
@@ -554,7 +661,8 @@ mod tests {
     }
 
     /// The number grammar accepts exactly what `f64::from_str` accepts over the token
-    /// alphabet (checked on every token of up to six characters), and stores the token.
+    /// alphabet (checked on every token of up to six characters), and stores the token;
+    /// `Reader::parse`, which leaves the check to the numeric parsers, accepts no more.
     #[test]
     fn number_grammar_matches_float_parsing() {
         let alphabet = b"07.eE+-";
@@ -572,11 +680,21 @@ mod tests {
         }
         for token in tokens {
             let text = std::str::from_utf8(&token).unwrap();
+            let valid = Reader::new(text).number().is_ok();
             assert_eq!(
-                is_number(text),
+                valid,
                 !text.starts_with('+') && text.parse::<f64>().is_ok(),
                 "token '{text}'"
             );
+            // `parse` leaves the check to the numeric parsers, which accept no more.
+            if text.starts_with(|c: char| c == '-' || c.is_ascii_digit()) {
+                let parse = |text| Reader::new(text).parse::<f64>().unwrap().map(f64::to_bits);
+                let exact = valid.then(|| text.parse::<f64>().unwrap().to_bits());
+                assert_eq!(parse(text), exact, "token '{text}'");
+                let integer = Reader::new(text).parse::<i64>().unwrap().is_some()
+                    || Reader::new(text).parse::<u64>().unwrap().is_some();
+                assert!(valid || !integer, "token '{text}'");
+            }
         }
         assert_eq!(Json::parse("-0.50e+07"), Ok(Json::Num("-0.50e+07".into())));
     }
@@ -601,6 +719,46 @@ mod tests {
             (error.offset, error.message.as_str()),
             (0, "unexpected byte 0x2b")
         );
+    }
+
+    #[test]
+    fn reader_borrows_strings_without_escapes() {
+        let mut reader = Reader::new(r#" [ "plain" , "a\nb", "é" ] "#);
+        reader.begin().unwrap();
+        assert!(reader.has_next().unwrap());
+        assert!(matches!(reader.str().unwrap(), Cow::Borrowed("plain")));
+        assert!(reader.has_next().unwrap());
+        assert!(matches!(reader.str().unwrap(), Cow::Owned(s) if s == "a\nb"));
+        assert!(reader.has_next().unwrap());
+        assert!(matches!(reader.str().unwrap(), Cow::Borrowed("é")));
+        assert!(!reader.has_next().unwrap());
+        assert!(reader.end().is_ok());
+    }
+
+    /// Skipping checks what parsing checks, at the same offsets, and a clone taken before a
+    /// skip reads the skipped value again.
+    #[test]
+    fn skip_value_checks_what_parse_checks() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        for text in [
+            nested(MAX_DEPTH),
+            nested(MAX_DEPTH + 1),
+            "[".repeat(200_000),
+            r#"{"a":[1,{"b":null}],"c":"x\u0041","d":-0.5e3}"#.to_string(),
+            r#"{"a":1,}"#.to_string(),
+            "[1,]".to_string(),
+            "[1 2]".to_string(),
+            "nul".to_string(),
+            "1 2".to_string(),
+        ] {
+            let mut reader = Reader::new(&text);
+            let mut saved = reader.clone();
+            let skipped = reader.skip_value().and_then(|()| reader.end());
+            assert_eq!(skipped.err(), Json::parse(&text).err(), "{text:.40}");
+            if let Ok(tree) = Json::parse(&text) {
+                assert_eq!(Json::read(&mut saved), Ok(tree));
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! service that owns the data and the privacy budgets.
 //!
 //! Everything here is deliberately dependency-free (the build environment has no
-//! crates.io access): the JSON layer is the ~300-line [`json`] module with a
+//! crates.io access): the JSON layer is the [`json`] module, one pull reader and a
 //! deterministic writer, which is also what makes the golden-fixture CI check and the
 //! byte-identical-release property tests possible.
 
@@ -41,11 +41,11 @@ pub use columnar::{
     STRATEGY_SORT_MERGE,
 };
 pub use expr::{BinOp, Expr};
-pub use json::Json;
+pub use json::{Json, JsonError, Reader};
 pub use program::ExprProgram;
 pub use spec::{
-    value_from_json, value_to_json, value_type_from_json, value_type_to_json, PlanSpec, ReduceSpec,
-    SpecNode, WIRE_HEADER, WIRE_VERSION,
+    value_from_json, value_from_reader, value_to_json, value_type_from_json, value_type_to_json,
+    PlanSpec, ReduceSpec, SpecNode, WIRE_HEADER, WIRE_VERSION,
 };
 
 /// An error in the wire layer: malformed JSON, unknown encoding, version mismatch, or a
@@ -72,3 +72,9 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+impl From<JsonError> for WireError {
+    fn from(e: JsonError) -> Self {
+        WireError::new(e.to_string())
+    }
+}

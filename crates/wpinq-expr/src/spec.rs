@@ -14,7 +14,7 @@
 use wpinq_core::value::{Value, ValueType};
 
 use crate::expr::Expr;
-use crate::json::Json;
+use crate::json::{Json, Reader};
 use crate::WireError;
 
 /// Version stamp of the JSON wire format. Bump on any change to the encoding.
@@ -377,7 +377,12 @@ impl PlanSpec {
     /// Parses (and version-checks) a plan document. The plan is **not** type-checked
     /// here; call [`validate`](Self::validate) before executing it.
     pub fn from_json(text: &str) -> Result<PlanSpec, WireError> {
-        let json = Json::parse(text).map_err(|e| WireError::new(e.to_string()))?;
+        PlanSpec::from_json_value(&Json::parse(text)?)
+    }
+
+    /// [`from_json`](Self::from_json) for a plan document already parsed, e.g. as a
+    /// member of a request envelope.
+    pub fn from_json_value(json: &Json) -> Result<PlanSpec, WireError> {
         let version = json
             .get(WIRE_HEADER)
             .and_then(Json::as_u64)
@@ -485,6 +490,50 @@ pub fn value_from_json(json: &Json, ty: &ValueType) -> Result<Value, WireError> 
         }
         (ty, _) => Err(WireError::new(format!("value does not match type {ty}"))),
     }
+}
+
+/// [`value_from_json`] read straight off a [`Reader`] into `out`, with no [`Json`] node
+/// built. A tuple already in `out` is refilled in place: reading many records through one
+/// `out` allocates once.
+pub fn value_from_reader(
+    reader: &mut Reader<'_>,
+    ty: &ValueType,
+    out: &mut Value,
+) -> Result<(), WireError> {
+    let mismatch = || WireError::new(format!("value does not match type {ty}"));
+    *out = match (ty, reader.peek()?) {
+        (ValueType::Unit, b'n') => reader.literal().map(|_| Value::Unit)?,
+        (ValueType::Bool, b't' | b'f') => Value::Bool(reader.literal()? == Some(true)),
+        (ValueType::U64, _) => Value::U64(
+            reader
+                .parse()?
+                .ok_or_else(|| WireError::new("expected an unsigned integer"))?,
+        ),
+        (ValueType::I64, _) => Value::I64(
+            reader
+                .parse()?
+                .ok_or_else(|| WireError::new("expected a signed integer"))?,
+        ),
+        (ValueType::Tuple(item_types), b'[') => {
+            reader.begin()?;
+            let mut items = match std::mem::replace(out, Value::Unit) {
+                Value::Tuple(items) if items.len() == item_types.len() => items,
+                _ => vec![Value::Unit; item_types.len()],
+            };
+            for (item_ty, item) in item_types.iter().zip(&mut items) {
+                if !reader.has_next()? {
+                    return Err(mismatch());
+                }
+                value_from_reader(reader, item_ty, item)?;
+            }
+            if reader.has_next()? {
+                return Err(mismatch());
+            }
+            Value::Tuple(items)
+        }
+        _ => return Err(mismatch()),
+    };
+    Ok(())
 }
 
 fn obj(op: &str, rest: Vec<(String, Json)>) -> Json {
@@ -884,5 +933,52 @@ mod tests {
         assert_eq!(value_from_json(&json, &ty).unwrap(), value);
         // Decoding against the wrong type fails rather than guessing.
         assert!(value_from_json(&json, &ValueType::U64).is_err());
+    }
+
+    /// The pull reader accepts exactly what the tree decoder accepts and yields the same
+    /// values, also when one `out` is refilled across records of different shapes.
+    #[test]
+    fn reader_values_equal_tree_values() {
+        let pair = ValueType::Tuple(vec![ValueType::U64, ValueType::I64]);
+        let nested = ValueType::Tuple(vec![pair.clone(), ValueType::Bool, ValueType::Unit]);
+        let types = [
+            ValueType::Unit,
+            ValueType::U64,
+            ValueType::I64,
+            pair,
+            nested,
+        ];
+        let texts = [
+            "null",
+            "true",
+            "0",
+            "18446744073709551615",
+            "18446744073709551616",
+            "-9223372036854775808",
+            "-1",
+            "1.0",
+            "1e3",
+            "\"7\"",
+            "[]",
+            "[7,-7]",
+            "[7,-7,7]",
+            "[[7,-7],false,null]",
+            "[[7,-7],false]",
+            "[[7,7.5],true,null]",
+            "[[7,-7],false,null,1]",
+        ];
+        let mut out = Value::Unit;
+        for text in texts {
+            for ty in &types {
+                let tree = value_from_json(&Json::parse(text).unwrap(), ty);
+                let mut reader = Reader::new(text);
+                let pulled = value_from_reader(&mut reader, ty, &mut out).map(|()| out.clone());
+                assert_eq!(tree.is_ok(), pulled.is_ok(), "{text} as {ty}");
+                if let Ok(value) = tree {
+                    assert_eq!(pulled.unwrap(), value, "{text} as {ty}");
+                    assert!(reader.end().is_ok(), "{text} read to its end");
+                }
+            }
+        }
     }
 }

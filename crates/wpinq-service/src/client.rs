@@ -8,19 +8,18 @@
 //! request is stamped with a correlation id (echoed by a v2 server) unless the caller
 //! supplies or suppresses one via [`Client::measure_with_id`].
 //!
-//! The pre-transport [`ServiceClient`] remains as a deprecated shim for callers that
-//! drive the service with their own noise RNG (the deterministic replay path).
+//! Replies decode in one pass from bytes to typed records ([`decode_response`]); a
+//! caller that drives [`MeasurementService::handle_json`](crate::MeasurementService::handle_json)
+//! with its own noise RNG (the deterministic replay path) decodes that reply the same way.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rand::Rng;
-
-use wpinq::value::ExprRecord;
+use wpinq::value::{ExprRecord, Value, ValueType};
 use wpinq::Plan;
-use wpinq_expr::{Json, PlanSpec, WireError};
+use wpinq_expr::{value_from_reader, Json, JsonError, PlanSpec, Reader, WireError};
 
-use crate::release::release_records_from_response;
-use crate::service::{response_output_type, MeasureRequest, MeasurementService, ResponseEncoding};
+use crate::release::release_records_from_columnar;
+use crate::service::{response_output_type, MeasureRequest, ResponseEncoding};
 use crate::transport::Transport;
 
 /// A typed view of a successful measurement response.
@@ -99,13 +98,59 @@ impl From<WireError> for ClientError {
     }
 }
 
-/// Decodes one response envelope into a typed release. Understands both the v2 error
-/// shape (`"error":{"code":…,"message":…}`) and the legacy v1 plain-string form.
-pub(crate) fn decode_response<T: ExprRecord>(
+impl From<JsonError> for ClientError {
+    fn from(e: JsonError) -> Self {
+        ClientError::Wire(e.into())
+    }
+}
+
+/// Decodes one response envelope into a typed release, in one pass over its bytes: the
+/// `release` array goes straight to typed records, a `release_columnar` frame is read as a
+/// borrowed string, and `trace` and unknown members are skipped. Members may come in any
+/// order; the first of duplicated members wins. Understands both the v2 error shape
+/// (`"error":{"code":…,"message":…}`) and the legacy v1 plain-string form.
+pub fn decode_response<T: ExprRecord>(
     raw: String,
     epsilon: f64,
 ) -> Result<TypedRelease<T>, ClientError> {
-    let response = Json::parse(&raw).map_err(|e| WireError::new(e.to_string()))?;
+    let mut reader = Reader::new(&raw);
+    let mut head: Vec<(String, Json)> = Vec::new();
+    let mut release = None;
+    let mut columnar = None;
+    if reader.peek()? == b'{' {
+        reader.begin()?;
+        while let Some(key) = reader.next_key()? {
+            match &*key {
+                // Small members, kept as documents; `Json::get` finds the first of a pair.
+                "ok" | "id" | "output_type" | "charged" | "remaining" | "explain" | "error" => {
+                    let value = Json::read(&mut reader)?;
+                    head.push((key.into_owned(), value));
+                }
+                // Decoded as the plan's type at once; `output_type` is checked against it
+                // below, wherever it stands. A release that fails to decode is skipped
+                // from its start, so the envelope is still read to its end.
+                "release" if release.is_none() => {
+                    let start = reader.clone();
+                    release = Some(read_release(&mut reader, &T::value_type()));
+                    if release.as_ref().is_some_and(Result::is_err) {
+                        reader = start;
+                        reader.skip_value()?;
+                    }
+                }
+                "release_columnar" if columnar.is_none() => {
+                    columnar = Some(match reader.peek()? {
+                        b'"' => Some(reader.str()?),
+                        _ => reader.skip_value().map(|()| None)?,
+                    });
+                }
+                _ => reader.skip_value()?,
+            }
+        }
+    } else {
+        reader.skip_value()?;
+    }
+    reader.end()?;
+    let response = Json::Obj(head);
     if response.get("ok").and_then(Json::as_bool) != Some(true) {
         let error = response.get("error");
         let code = error
@@ -128,14 +173,18 @@ pub(crate) fn decode_response<T: ExprRecord>(
             T::value_type()
         ))));
     }
-    let records = release_records_from_response(&response, &output_type)?
-        .into_iter()
-        .map(|(value, noisy)| {
-            T::from_value(&value)
-                .map(|record| (record, noisy))
-                .ok_or_else(|| WireError::new("release record does not fit the plan type"))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+    let records = match release {
+        Some(records) => records?,
+        None => {
+            let text = columnar
+                .flatten()
+                .ok_or_else(|| WireError::new("response missing 'release' / 'release_columnar'"))?;
+            release_records_from_columnar(&text, &output_type)?
+                .into_iter()
+                .map(|(value, noisy)| Ok((fit(&value)?, noisy)))
+                .collect::<Result<_, WireError>>()?
+        }
+    };
     let pairs = |key: &str| -> Result<Vec<(String, f64)>, WireError> {
         response
             .get(key)
@@ -173,6 +222,48 @@ pub(crate) fn decode_response<T: ExprRecord>(
             .map(str::to_string),
         raw,
     })
+}
+
+/// The typed record of a decoded release value.
+fn fit<T: ExprRecord>(value: &Value) -> Result<T, WireError> {
+    T::from_value(value).ok_or_else(|| WireError::new("release record does not fit the plan type"))
+}
+
+/// Reads a `release` array of `[record, noisy value]` pairs straight to typed records.
+/// Accepts the arrays [`release_records_from_response`](crate::release_records_from_response)
+/// accepts, and decodes them to the same records.
+fn read_release<T: ExprRecord>(
+    reader: &mut Reader<'_>,
+    ty: &ValueType,
+) -> Result<Vec<(T, f64)>, WireError> {
+    let pair = || WireError::new("release entry must be a [record, value] pair");
+    if reader.peek()? != b'[' {
+        return Err(WireError::new("release must be a JSON array"));
+    }
+    reader.begin()?;
+    let mut records = Vec::new();
+    let mut record = Value::Unit;
+    while reader.has_next()? {
+        if reader.peek()? != b'[' {
+            return Err(pair());
+        }
+        reader.begin()?;
+        if !reader.has_next()? {
+            return Err(pair());
+        }
+        value_from_reader(reader, ty, &mut record)?;
+        if !reader.has_next()? {
+            return Err(pair());
+        }
+        let noisy = reader
+            .parse()?
+            .ok_or_else(|| WireError::new("release value must be a number"))?;
+        if reader.has_next()? {
+            return Err(pair());
+        }
+        records.push((fit(&record)?, noisy));
+    }
+    Ok(records)
 }
 
 /// A transport-agnostic analyst client bound to one analyst identity.
@@ -267,64 +358,6 @@ impl<T: Transport> Client<T> {
             encoding: self.encoding,
         };
         let raw = self.transport.roundtrip(&request.to_json_string())?;
-        decode_response(raw, epsilon)
-    }
-}
-
-/// An in-process client bound to one service and one analyst identity, driving the
-/// service with a **caller-supplied** noise RNG (the deterministic, cache-bypassing
-/// path). Superseded by [`Client`] over an
-/// [`InProcess`](crate::transport::InProcess) transport for everything except replay
-/// tests that must pin the noise stream.
-pub struct ServiceClient<'a> {
-    service: &'a MeasurementService,
-    analyst: String,
-}
-
-impl<'a> ServiceClient<'a> {
-    /// A client speaking for `analyst`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Client::new(InProcess::new(service), analyst)` unless the caller \
-                must control the noise RNG"
-    )]
-    pub fn new(service: &'a MeasurementService, analyst: impl Into<String>) -> Self {
-        ServiceClient {
-            service,
-            analyst: analyst.into(),
-        }
-    }
-
-    /// Serializes `plan`, submits it at `epsilon`, and decodes the typed release.
-    ///
-    /// `rng` is the **service's** noise source; in production it lives on the trusted
-    /// side and is never shared with analysts (tests pin it for reproducibility).
-    pub fn measure<T: ExprRecord, R: Rng + ?Sized>(
-        &self,
-        plan: &Plan<T>,
-        epsilon: f64,
-        rng: &mut R,
-    ) -> Result<TypedRelease<T>, ClientError> {
-        let spec = plan.to_spec().ok_or(ClientError::NotSerializable)?;
-        self.measure_spec(spec, epsilon, rng)
-    }
-
-    /// [`measure`](Self::measure) for an already-serialized plan.
-    pub fn measure_spec<T: ExprRecord, R: Rng + ?Sized>(
-        &self,
-        spec: PlanSpec,
-        epsilon: f64,
-        rng: &mut R,
-    ) -> Result<TypedRelease<T>, ClientError> {
-        let request = MeasureRequest {
-            analyst: self.analyst.clone(),
-            epsilon,
-            spec,
-            id: None,
-            trace: false,
-            encoding: ResponseEncoding::Json,
-        };
-        let raw = self.service.handle_json(&request.to_json_string(), rng);
         decode_response(raw, epsilon)
     }
 }

@@ -47,10 +47,10 @@ pub mod transport;
 pub use cache::{
     CacheStats, MeasurementCache, CACHE_EVICTIONS_METRIC, CACHE_HITS_METRIC, CACHE_MISSES_METRIC,
 };
-pub use client::{Client, ClientError, ServiceClient, TypedRelease};
+pub use client::{decode_response, Client, ClientError, TypedRelease};
 pub use release::{
-    release_records_from_response, release_records_json, release_records_text, release_to_json,
-    release_values_to_json,
+    release_records_from_columnar, release_records_from_response, release_records_json,
+    release_records_text, release_to_json, release_values_to_json,
 };
 pub use service::{
     MeasureRequest, MeasureResponse, MeasurementService, ResponseEncoding, ServiceError,

@@ -84,12 +84,36 @@ pub fn release_records_from_response(
     ty: &ValueType,
 ) -> Result<Vec<(Value, f64)>, WireError> {
     if let Some(release) = response.get("release") {
-        return release_records_from_json(release, ty);
+        let entries = release
+            .as_arr()
+            .ok_or_else(|| WireError::new("release must be a JSON array"))?;
+        return entries
+            .iter()
+            .map(|pair| {
+                let pair = pair.as_arr().filter(|p| p.len() == 2).ok_or_else(|| {
+                    WireError::new("release entry must be a [record, value] pair")
+                })?;
+                let record = value_from_json(&pair[0], ty)?;
+                let value = pair[1]
+                    .as_f64()
+                    .ok_or_else(|| WireError::new("release value must be a number"))?;
+                Ok((record, value))
+            })
+            .collect();
     }
     let text = response
         .get("release_columnar")
         .and_then(Json::as_str)
         .ok_or_else(|| WireError::new("response missing 'release' / 'release_columnar'"))?;
+    release_records_from_columnar(text, ty)
+}
+
+/// Decodes a `"release_columnar"` payload (base64 colwire) whose records must carry the
+/// type `ty`.
+pub fn release_records_from_columnar(
+    text: &str,
+    ty: &ValueType,
+) -> Result<Vec<(Value, f64)>, WireError> {
     let frame = wpinq_core::colwire::from_base64(text)
         .map_err(|e| WireError::new(format!("release_columnar: {e}")))?;
     let batch = wpinq_core::colwire::decode_batch(&frame)
@@ -101,28 +125,6 @@ pub fn release_records_from_response(
         )));
     }
     Ok(batch.to_pairs())
-}
-
-/// Decodes a release array against the expected record type.
-pub fn release_records_from_json(
-    json: &Json,
-    ty: &ValueType,
-) -> Result<Vec<(Value, f64)>, WireError> {
-    json.as_arr()
-        .ok_or_else(|| WireError::new("release must be a JSON array"))?
-        .iter()
-        .map(|pair| {
-            let pair = pair
-                .as_arr()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| WireError::new("release entry must be a [record, value] pair"))?;
-            let record = value_from_json(&pair[0], ty)?;
-            let value = pair[1]
-                .as_f64()
-                .ok_or_else(|| WireError::new("release value must be a number"))?;
-            Ok((record, value))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -151,8 +153,8 @@ mod tests {
 
         // And the encoding round-trips exactly.
         let ty = <(u32, u64)>::value_type();
-        let parsed = Json::parse(&a).unwrap();
-        let records = release_records_from_json(&parsed, &ty).unwrap();
+        let envelope = Json::Obj(vec![("release".into(), Json::parse(&a).unwrap())]);
+        let records = release_records_from_response(&envelope, &ty).unwrap();
         assert_eq!(release_records_json(&records).to_compact(), a);
     }
 }

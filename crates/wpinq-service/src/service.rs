@@ -234,7 +234,7 @@ impl MeasureRequest {
     /// Parses a request envelope. Versions 1 and 2 are both accepted: version 1 is the
     /// pre-`id` format, so a v1 request simply parses with `id: None`.
     pub fn from_json(text: &str) -> Result<MeasureRequest, WireError> {
-        MeasureRequest::from_json_value(&parse_line(text)?)
+        MeasureRequest::from_json_value(&Json::parse(text)?)
     }
 
     /// Reads a request envelope already parsed as JSON (see [`from_json`](Self::from_json)).
@@ -274,7 +274,7 @@ impl MeasureRequest {
         let plan = json
             .get("plan")
             .ok_or_else(|| WireError::new("missing 'plan'"))?;
-        let spec = PlanSpec::from_json(&plan.to_compact())?;
+        let spec = PlanSpec::from_json_value(plan)?;
         Ok(MeasureRequest {
             analyst,
             epsilon,
@@ -284,11 +284,6 @@ impl MeasureRequest {
             encoding,
         })
     }
-}
-
-/// Parses one request line as JSON, a parse failure becoming a wire error.
-fn parse_line(text: &str) -> Result<Json, WireError> {
-    Json::parse(text).map_err(|e| WireError::new(e.to_string()))
 }
 
 /// A successful measurement: the noisy release plus accounting facts the analyst is
@@ -1227,7 +1222,7 @@ impl MeasurementService {
         let parsed = if request_json.contains(REQUEST_HEADER) {
             MeasureRequest::from_json(request_json)
         } else {
-            match parse_line(request_json) {
+            match Json::parse(request_json).map_err(WireError::from) {
                 Ok(json) if json.get("op").and_then(Json::as_str) == Some("stats") => {
                     requests_ok_counter().inc();
                     return self.stats_json().to_compact();

@@ -3,9 +3,7 @@
 //! its closure-built twin — while the service debits exactly `multiplicity × ε` from the
 //! right analyst's grant. Error paths must reject without charging.
 
-// These tests pin the service's noise stream for byte-equality, which is exactly what
-// the deprecated caller-rng `ServiceClient` shim exists for.
-#![allow(deprecated)]
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,7 +24,8 @@ use wpinq_analyses::triangles::{tbd_plan, tbd_plan_expr};
 use wpinq_expr::Json;
 use wpinq_graph::Graph;
 use wpinq_service::{
-    release_to_json, MeasureRequest, MeasurementService, ResponseEncoding, ServiceClient,
+    decode_response, release_to_json, Client, ClientError, InProcess, MeasureRequest,
+    MeasurementService, ResponseEncoding, TypedRelease,
 };
 
 const SEED: u64 = 2014;
@@ -46,6 +45,27 @@ fn service_with(graph: &Graph, analyst: &str, budget: f64) -> MeasurementService
         .grant(analyst, EDGES_DATASET, PrivacyBudget::new(budget))
         .unwrap();
     service
+}
+
+/// Measures `plan` as `analyst` through the JSON front door with a pinned noise RNG (the
+/// service's own source, never shared with analysts in production), decoding the reply
+/// as a client does.
+fn measure_pinned<T: ExprRecord>(
+    service: &MeasurementService,
+    analyst: &str,
+    plan: &Plan<T>,
+    epsilon: f64,
+    rng: &mut StdRng,
+) -> Result<TypedRelease<T>, ClientError> {
+    let request = MeasureRequest {
+        analyst: analyst.to_string(),
+        epsilon,
+        spec: plan.to_spec().ok_or(ClientError::NotSerializable)?,
+        id: None,
+        trace: false,
+        encoding: ResponseEncoding::Json,
+    };
+    decode_response(service.handle_json(&request.to_json_string(), rng), epsilon)
 }
 
 /// The local reference: the closure-built plan, measured in its typed form.
@@ -188,10 +208,9 @@ fn typed_client_round_trips_records() {
         .unwrap();
     let source = Plan::<(u32, u32)>::source_expr(EDGES_DATASET);
     let plan = degree_ccdf_plan_expr(&source);
-    let client = ServiceClient::new(&service, "alice");
-    let release = client
-        .measure(&plan, 1e6, &mut StdRng::seed_from_u64(3))
-        .unwrap();
+    let service = Arc::new(service);
+    let client = Client::new(InProcess::new(service.clone()), "alice");
+    let release = client.measure(&plan, 1e6).unwrap();
     // At ε = 10⁶ the noisy CCDF is essentially exact; thresholds 0..max_degree appear.
     let exact = wpinq_graph::stats::degree_ccdf(&graph);
     assert_eq!(release.records.len(), exact.len());
@@ -213,15 +232,9 @@ fn closure_plans_are_rejected_client_side() {
     let graph = toy_graph();
     let service = service_with(&graph, "alice", 10.0);
     let source = Plan::<(u32, u32)>::source_expr(EDGES_DATASET);
-    let client = ServiceClient::new(&service, "alice");
-    let err = client
-        .measure(
-            &degree_ccdf_plan(&source),
-            0.5,
-            &mut StdRng::seed_from_u64(0),
-        )
-        .unwrap_err();
-    assert!(matches!(err, wpinq_service::ClientError::NotSerializable));
+    let client = Client::new(InProcess::new(Arc::new(service)), "alice");
+    let err = client.measure(&degree_ccdf_plan(&source), 0.5).unwrap_err();
+    assert!(matches!(err, ClientError::NotSerializable));
 }
 
 #[test]
@@ -233,13 +246,11 @@ fn missing_grant_and_exhausted_budget_charge_nothing() {
     let mut rng = StdRng::seed_from_u64(1);
 
     // Bob has no grant at all.
-    let bob = ServiceClient::new(&service, "bob");
-    let err = bob.measure(&plan, 0.1, &mut rng).unwrap_err();
+    let err = measure_pinned(&service, "bob", &plan, 0.1, &mut rng).unwrap_err();
     assert!(err.to_string().contains("no budget grant"), "{err}");
 
     // Alice's grant cannot afford 9 × 0.2.
-    let alice = ServiceClient::new(&service, "alice");
-    let err = alice.measure(&plan, 0.2, &mut rng).unwrap_err();
+    let err = measure_pinned(&service, "alice", &plan, 0.2, &mut rng).unwrap_err();
     assert!(err.to_string().contains("exceeded"), "{err}");
     assert_eq!(
         service.remaining("alice", EDGES_DATASET),
@@ -248,7 +259,7 @@ fn missing_grant_and_exhausted_budget_charge_nothing() {
     );
 
     // 9 × 0.1 exactly fails nothing — then the budget is drained.
-    let release = alice.measure(&plan, 0.1, &mut rng).unwrap();
+    let release = measure_pinned(&service, "alice", &plan, 0.1, &mut rng).unwrap();
     assert!((release.remaining[0].1 - 0.1).abs() < 1e-9);
 }
 
@@ -257,24 +268,29 @@ fn unknown_datasets_and_type_mismatches_are_rejected() {
     let graph = toy_graph();
     let service = service_with(&graph, "alice", 10.0);
     let mut rng = StdRng::seed_from_u64(4);
-    let client = ServiceClient::new(&service, "alice");
 
     // Unknown dataset name.
     let stranger = Plan::<(u32, u32)>::source_expr("not-registered");
-    let err = client
-        .measure(&edge_count_plan_expr(&stranger), 0.1, &mut rng)
-        .unwrap_err();
+    let err = measure_pinned(
+        &service,
+        "alice",
+        &edge_count_plan_expr(&stranger),
+        0.1,
+        &mut rng,
+    )
+    .unwrap_err();
     assert!(err.to_string().contains("unknown dataset"), "{err}");
 
     // Declared type differs from the registered one.
     let mistyped = Plan::<u64>::source_expr(EDGES_DATASET);
-    let err = client
-        .measure(
-            &mistyped.select_expr::<u64>(wpinq::Expr::input()),
-            0.1,
-            &mut rng,
-        )
-        .unwrap_err();
+    let err = measure_pinned(
+        &service,
+        "alice",
+        &mistyped.select_expr::<u64>(wpinq::Expr::input()),
+        0.1,
+        &mut rng,
+    )
+    .unwrap_err();
     assert!(err.to_string().contains("registered as"), "{err}");
     assert_eq!(service.remaining("alice", EDGES_DATASET), Some(10.0));
 }
@@ -290,10 +306,14 @@ fn redundant_requests_are_charged_for_the_deduplicated_plan() {
         service_with(&graph, "alice", 10.0).with_optimize_level(wpinq::plan::OptimizeLevel::Full);
     let source = Plan::<(u32, u32)>::source_expr(EDGES_DATASET);
     let merged = degree_ccdf_plan_expr(&source).union(&degree_ccdf_plan_expr(&source));
-    let client = ServiceClient::new(&service, "alice");
-    let release = client
-        .measure(&merged, EPSILON, &mut StdRng::seed_from_u64(SEED))
-        .unwrap();
+    let release = measure_pinned(
+        &service,
+        "alice",
+        &merged,
+        EPSILON,
+        &mut StdRng::seed_from_u64(SEED),
+    )
+    .unwrap();
     assert_eq!(release.charged, vec![(EDGES_DATASET.to_string(), EPSILON)]);
 
     // Byte-identical to the single chain measured locally (Union(X, X) = X).

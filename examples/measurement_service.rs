@@ -12,10 +12,6 @@
 //! service returned are identical to a local, typed, closure-built measurement with the
 //! same seed, and that every grant was debited by exactly `multiplicity × ε`.
 
-// The caller-rng `ServiceClient` shim is exactly what this example needs: byte-equality
-// against a local run requires pinning the service's noise stream.
-#![allow(deprecated)]
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -26,9 +22,32 @@ use wpinq_analyses::edges::{symmetric_edge_dataset, EdgeSource, EDGES_DATASET};
 use wpinq_analyses::nodes::{node_count_plan, node_count_plan_expr};
 use wpinq_analyses::triangles::{tbd_plan, tbd_plan_expr};
 use wpinq_graph::generators;
-use wpinq_service::{release_to_json, MeasurementService, ServiceClient};
+use wpinq_service::{
+    decode_response, release_to_json, ClientError, MeasureRequest, MeasurementService,
+    ResponseEncoding, TypedRelease,
+};
 
 const SEED: u64 = 7;
+
+/// Ships `plan` through the JSON front door with the service's noise pinned to `SEED` (so
+/// the bytes can match a local run; a real analyst uses `Client`), and decodes the reply.
+fn measure<T: ExprRecord>(
+    service: &MeasurementService,
+    analyst: &str,
+    plan: &Plan<T>,
+    epsilon: f64,
+) -> Result<TypedRelease<T>, ClientError> {
+    let request = MeasureRequest {
+        analyst: analyst.to_string(),
+        epsilon,
+        spec: plan.to_spec().ok_or(ClientError::NotSerializable)?,
+        id: None,
+        trace: false,
+        encoding: ResponseEncoding::Json,
+    };
+    let reply = service.handle_json(&request.to_json_string(), &mut StdRng::seed_from_u64(SEED));
+    decode_response(reply, epsilon)
+}
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(1);
@@ -52,8 +71,6 @@ fn main() {
 
     // --- the analyst side -------------------------------------------------------------
     let source = EdgeSource::named();
-    let alice = ServiceClient::new(&service, "alice");
-    let bob = ServiceClient::new(&service, "bob");
 
     // A helper: ship the expr plan, and independently rebuild the *closure* form locally
     // to prove the service's bytes are the very ones a trusted local run would release.
@@ -90,13 +107,13 @@ fn main() {
     }
 
     // Degree CCDF (multiplicity 1, ε = 0.5).
-    let ccdf = alice
-        .measure(
-            &degree_ccdf_plan_expr(source.plan()),
-            0.5,
-            &mut StdRng::seed_from_u64(SEED),
-        )
-        .expect("alice measures the degree CCDF");
+    let ccdf = measure(
+        &service,
+        "alice",
+        &degree_ccdf_plan_expr(source.plan()),
+        0.5,
+    )
+    .expect("alice measures the degree CCDF");
     check(
         "degree ccdf",
         &ccdf,
@@ -107,12 +124,7 @@ fn main() {
     );
 
     // Node count (multiplicity 1, ε = 0.5) — bob's independent budget.
-    let nodes = bob
-        .measure(
-            &node_count_plan_expr(source.plan()),
-            0.5,
-            &mut StdRng::seed_from_u64(SEED),
-        )
+    let nodes = measure(&service, "bob", &node_count_plan_expr(source.plan()), 0.5)
         .expect("bob measures the node count");
     check(
         "node count",
@@ -129,12 +141,7 @@ fn main() {
     );
 
     // Triangles-by-Degree, bucketed (multiplicity 9, ε = 0.3 → 2.7 charged).
-    let tbd = alice
-        .measure(
-            &tbd_plan_expr(source.plan(), 2),
-            0.3,
-            &mut StdRng::seed_from_u64(SEED),
-        )
+    let tbd = measure(&service, "alice", &tbd_plan_expr(source.plan(), 2), 0.3)
         .expect("alice measures TbD");
     check(
         "triangles-by-degree",
@@ -153,11 +160,7 @@ fn main() {
     assert!((bob_left - 0.5).abs() < 1e-9);
 
     // Bob cannot afford TbD at ε = 0.1 (9 × 0.1 = 0.9 > 0.5) — and is charged nothing.
-    let rejected = bob.measure(
-        &tbd_plan_expr(source.plan(), 2),
-        0.1,
-        &mut StdRng::seed_from_u64(SEED),
-    );
+    let rejected = measure(&service, "bob", &tbd_plan_expr(source.plan(), 2), 0.1);
     assert!(rejected.is_err(), "bob's grant cannot afford TbD");
     assert!((service.remaining("bob", EDGES_DATASET).unwrap() - 0.5).abs() < 1e-9);
     println!("bob's over-budget TbD request was rejected without charge");
