@@ -1,7 +1,7 @@
-//! Shared harness utilities for the experiment binaries and benches.
+//! Shared harness utilities for the experiment binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper's evaluation
-//! (see DESIGN.md §4 for the index and EXPERIMENTS.md for recorded results). The helpers
+//! (the README's "Running things" lists them; ROADMAP item 8 tracks the claims). The helpers
 //! here keep the binaries small: fixed-width table printing, paper-vs-measured rows, a
 //! `/proc`-based memory probe for the Figure 6 reproduction, simple CLI parsing, and
 //! reduced-scale dataset variants for the MCMC-heavy experiments.
@@ -13,8 +13,7 @@ pub mod smallsets;
 /// Minimal command-line options shared by the experiment binaries.
 ///
 /// Recognised flags: `--steps N`, `--scale small|full`, `--epsilon X`, `--seed N`,
-/// `--threads N`, `--epinions`, `--out PATH`. Unknown arguments are ignored so binaries
-/// stay forgiving.
+/// `--threads N`, `--epinions`. Unknown arguments are ignored so binaries stay forgiving.
 #[derive(Debug, Clone)]
 pub struct HarnessArgs {
     /// Number of MCMC steps (binaries pick their own defaults).
@@ -31,10 +30,6 @@ pub struct HarnessArgs {
     pub threads: Option<usize>,
     /// Run the optional Epinions panel (Figure 6, right).
     pub epinions: bool,
-    /// Override the output path of binaries that write a report file (`--out PATH`).
-    /// CI uses this to write a fresh `BENCH_parallel.json` next to — not over — the
-    /// committed baseline the regression gate compares against.
-    pub out: Option<String>,
 }
 
 impl Default for HarnessArgs {
@@ -46,7 +41,6 @@ impl Default for HarnessArgs {
             seed: 42,
             threads: None,
             epinions: false,
-            out: None,
         }
     }
 }
@@ -89,9 +83,6 @@ impl HarnessArgs {
                     }
                 }
                 "--epinions" => parsed.epinions = true,
-                "--out" => {
-                    parsed.out = iter.next();
-                }
                 _ => {}
             }
         }

@@ -9,20 +9,6 @@ pub fn resident_bytes() -> Option<u64> {
     proc_status_bytes("VmRSS:")
 }
 
-/// The peak resident set size (`VmHWM`) in bytes since process start — or since the last
-/// [`reset_peak_resident`] call — if the platform exposes it.
-pub fn peak_resident_bytes() -> Option<u64> {
-    proc_status_bytes("VmHWM:")
-}
-
-/// Resets the kernel's RSS high-water mark (`echo 5 > /proc/self/clear_refs`), so a
-/// subsequent [`peak_resident_bytes`] reports the peak of just the phase in between.
-/// Returns `false` when the platform does not support it (the HWM then stays
-/// process-lifetime).
-pub fn reset_peak_resident() -> bool {
-    std::fs::write("/proc/self/clear_refs", "5").is_ok()
-}
-
 fn proc_status_bytes(field: &str) -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     for line in status.lines() {

@@ -3,8 +3,8 @@
 //! The incremental TbI/TbD engine keeps state proportional to Σd² (Section 4.3), so the
 //! Table 2 / Figures 3–5 binaries default to these quarter-ish-scale stand-ins and expose
 //! `--scale full` for the patient. Qualitative conclusions (real vs random separation,
-//! bucketing effect, ε insensitivity) are unchanged; EXPERIMENTS.md records which scale
-//! every reported number was produced at.
+//! bucketing effect, ε insensitivity) are unchanged. The README's "Running things" lists
+//! the binaries, and ROADMAP item 8 tracks the claims they reproduce.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -102,8 +102,8 @@ mod tests {
             s.edges
         );
         // Collaboration-network character: many triangles, non-negative assortativity.
-        // (The real CA-GrQc has r = 0.66; the synthetic stand-in is only mildly assortative,
-        // which is documented as a limitation in EXPERIMENTS.md.)
+        // (The real CA-GrQc has r = 0.66; the synthetic stand-in is only mildly assortative.
+        // `bench --bin table1`, in the README's "Running things", prints both side by side.)
         assert!(s.triangles > 10_000, "triangles {}", s.triangles);
         assert!(s.assortativity > 0.0, "assortativity {}", s.assortativity);
         assert!(s.max_degree > 25, "max degree {}", s.max_degree);

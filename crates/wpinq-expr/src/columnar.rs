@@ -55,7 +55,7 @@ pub const COLUMNAR_ENV: &str = "WPINQ_COLUMNAR";
 static COLUMNAR_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
 /// Overrides the [`COLUMNAR_ENV`] toggle for this process (`None` restores deference to
-/// the environment). Lets tests and benches flip paths without racing on `set_var`.
+/// the environment). Lets tests flip paths without racing on `set_var`.
 pub fn set_columnar_override(enabled: Option<bool>) {
     let code = match enabled {
         None => 0,
@@ -80,7 +80,7 @@ static RADIX_OFF: AtomicBool = AtomicBool::new(false);
 /// Overrides radix-partitioned packed-key resolution for this process: `Some(false)`
 /// keeps the plain global sort-merge, `None` restores the default (radix on). Both paths
 /// resolve the identical canonical accumulation, so the switch changes performance, never
-/// results; it lets the equivalence tests and the vector bench compare the two.
+/// results; it lets the equivalence tests compare the two.
 pub fn set_radix_override(enabled: Option<bool>) {
     RADIX_OFF.store(enabled == Some(false), Ordering::Relaxed);
 }

@@ -326,8 +326,7 @@ impl MeasureResponse {
         trace: Option<&Trace>,
         encoding: ResponseEncoding,
     ) -> Json {
-        let [mut fields, tail] =
-            self.envelope_parts(id, remaining.unwrap_or(&self.remaining), trace);
+        let [mut fields, tail] = self.envelope_parts(id, remaining.unwrap_or(&self.remaining));
         fields.push(match encoding {
             ResponseEncoding::Json => ("release".to_string(), release_records_json(&self.release)),
             ResponseEncoding::Columnar => (
@@ -336,15 +335,18 @@ impl MeasureResponse {
             ),
         });
         fields.extend(tail);
+        if let Some(trace) = trace {
+            let trace = Json::parse(&trace.to_json()).expect("a trace prints as JSON");
+            fields.push(("trace".into(), trace));
+        }
         Json::Obj(fields)
     }
 
-    /// The envelope's members before and after the release member.
+    /// The envelope's members before and after the release member, the trace aside.
     fn envelope_parts(
         &self,
         id: Option<&str>,
         remaining: &[(String, f64)],
-        trace: Option<&Trace>,
     ) -> [Vec<(String, Json)>; 2] {
         let pairs = |items: &[(String, f64)]| {
             Json::Arr(
@@ -362,14 +364,11 @@ impl MeasureResponse {
             ("epsilon".to_string(), Json::f64(self.epsilon)),
             ("output_type".into(), value_type_to_json(&self.output_type)),
         ]);
-        let mut tail = vec![
+        let tail = vec![
             ("charged".to_string(), pairs(&self.charged)),
             ("remaining".into(), pairs(remaining)),
             ("explain".into(), Json::str(self.explain.clone())),
         ];
-        if let Some(Ok(trace)) = trace.map(|trace| Json::parse(&trace.to_json())) {
-            tail.push(("trace".into(), trace));
-        }
         [head, tail]
     }
 
@@ -404,7 +403,7 @@ impl Sealed {
 
     /// The compact text of [`MeasureResponse::to_json_envelope`], byte for byte: what the
     /// front doors send. Only the small members either side of the release are printed
-    /// per reply.
+    /// per reply; the trace's own text is spliced in as it is.
     fn envelope_text(
         &self,
         id: Option<&str>,
@@ -422,15 +421,16 @@ impl Sealed {
                 Json::str(response.release_columnar()).to_compact()
             ),
         });
-        let [head, tail] = response.envelope_parts(id, remaining, trace);
+        let [head, tail] = response.envelope_parts(id, remaining);
         let (head, tail) = (Json::Obj(head).to_compact(), Json::Obj(tail).to_compact());
-        // `{head}` and `{tail}` open up into `{head,release,tail}`.
-        let mut out = String::with_capacity(head.len() + release.len() + tail.len() + 1);
-        out.push_str(&head[..head.len() - 1]);
-        out.push(',');
-        out.push_str(release);
-        out.push(',');
-        out.push_str(&tail[1..]);
+        // `{head}` and `{tail}` open up into `{head,release,tail,trace}`.
+        let (head, tail) = (&head[..head.len() - 1], &tail[1..tail.len() - 1]);
+        let mut out = String::with_capacity(head.len() + release.len() + tail.len() + 3);
+        out.extend([head, ",", release, ",", tail]);
+        if let Some(trace) = trace {
+            out.extend([",\"trace\":", &trace.to_json()]);
+        }
+        out.push('}');
         out
     }
 }
@@ -1289,10 +1289,12 @@ pub fn response_output_type(response: &Json) -> Result<ValueType, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wpinq_telemetry::TraceSpan;
 
     /// The streamed envelope against the tree envelope on a response no service run
     /// produces: nested tuple records, signed-zero / subnormal / non-finite counts, and
-    /// names and text that need every kind of escape.
+    /// names and text that need every kind of escape. A traced reply ends with the
+    /// trace's own text, byte for byte.
     #[test]
     fn streamed_envelope_equals_the_tree_envelope_on_crafted_responses() {
         let record = |n: u64, i: i64| {
@@ -1330,22 +1332,53 @@ mod tests {
             explain: String::new(),
         };
         let live = [("a\"b".to_string(), 0.1 + 0.2)];
+        let trace = Trace {
+            fields: vec![
+                ("analyst".into(), FieldValue::Str("a\"b\\\n\u{1}é→𝛆".into())),
+                ("epsilon".into(), FieldValue::F64(1e-7)),
+                ("nan".into(), FieldValue::F64(f64::NAN)),
+                (
+                    "analyze".into(),
+                    FieldValue::Raw("{\"nodes\":[{\"shared\":true}]}".into()),
+                ),
+            ],
+            spans: vec![
+                TraceSpan {
+                    name: "execute".into(),
+                    parent: None,
+                    start_us: 3,
+                    dur_us: 12,
+                    fields: vec![("rows".into(), FieldValue::U64(u64::MAX))],
+                },
+                TraceSpan {
+                    name: "noise\t".into(),
+                    parent: Some(0),
+                    start_us: 5,
+                    dur_us: 1,
+                    fields: vec![("hit".into(), FieldValue::Bool(false))],
+                },
+            ],
+        };
+        let traced_tail = format!(",\"trace\":{}}}", trace.to_json());
         for response in [full, empty] {
             let sealed = Sealed::new(response);
             for encoding in [ResponseEncoding::Json, ResponseEncoding::Columnar] {
                 for id in [None, Some("\u{7f}\"id\"\r")] {
                     for remaining in [None, Some(&live[..])] {
-                        let streamed = sealed.envelope_text(
-                            id,
-                            remaining.unwrap_or(&sealed.response.remaining),
-                            None,
-                            encoding,
-                        );
-                        let tree = sealed
-                            .response
-                            .to_json_envelope(id, remaining, None, encoding);
-                        assert_eq!(streamed, tree.to_compact());
-                        assert_eq!(Json::parse(&streamed), Ok(tree));
+                        for trace in [None, Some(&trace)] {
+                            let streamed = sealed.envelope_text(
+                                id,
+                                remaining.unwrap_or(&sealed.response.remaining),
+                                trace,
+                                encoding,
+                            );
+                            let tree = sealed
+                                .response
+                                .to_json_envelope(id, remaining, trace, encoding);
+                            assert_eq!(streamed, tree.to_compact());
+                            assert_eq!(Json::parse(&streamed), Ok(tree));
+                            assert_eq!(trace.is_some(), streamed.ends_with(&traced_tail));
+                        }
                     }
                 }
             }
